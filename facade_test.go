@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccredf"
+	"ccredf/internal/obs"
 )
 
 func TestTDMAProtocolViaFacade(t *testing.T) {
@@ -128,5 +129,34 @@ func TestRecommendPayloadViaFacade(t *testing.T) {
 	payload, ok := ccredf.RecommendPayload(8, 100*ccredf.Microsecond)
 	if !ok || payload < 4096 {
 		t.Fatalf("RecommendPayload = %d, %v", payload, ok)
+	}
+}
+
+// TestFacadeCheckersDeclareInterests checks that the built-in checkers ask
+// only for the kinds they consume: a facade network with the wire, data and
+// invariant checks attached never builds the N per-slot request-sample
+// events, while an observer without declared interests still gets them.
+func TestFacadeCheckersDeclareInterests(t *testing.T) {
+	cfg := ccredf.DefaultConfig(8)
+	net, err := ccredf.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Wants(obs.KindRequestSampled) {
+		t.Fatal("default facade network wants KindRequestSampled")
+	}
+	if !net.Wants(obs.KindArbitration) {
+		t.Fatal("default facade network does not want KindArbitration (wire check)")
+	}
+	cfg.DataCheck, cfg.CheckInvariants = true, true
+	if net, err = ccredf.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if net.Wants(obs.KindRequestSampled) {
+		t.Fatal("facade network with data and invariant checks wants KindRequestSampled")
+	}
+	net.Attach(ccredf.ObserverFunc(func(*ccredf.Event) {}))
+	if !net.Wants(obs.KindRequestSampled) {
+		t.Fatal("an observer without declared interests does not receive KindRequestSampled")
 	}
 }

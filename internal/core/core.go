@@ -108,14 +108,48 @@ type Arbiter struct {
 	// per slot. The schedulability analysis never relies on it (Section 5),
 	// but at run time it "always results in positive effects".
 	spatialReuse bool
-	// Reusable per-round scratch: the request sort buffer and the outcome's
+	// Reusable per-round scratch: the order keys and the outcome's
 	// grant/deny slices. Arbitrate runs once per slot for the lifetime of a
 	// simulation, so reusing these keeps the steady-state slot loop
-	// allocation-free.
-	sorted []Request
+	// allocation-free. While keys are built, prev[k] is the key index of the
+	// same node's previous request (k itself for a node's first) and last[v]
+	// is node v's latest key index.
+	keys   []orderKey
+	prev   []uint16
+	last   [64]uint16
 	grants []Grant
 	denied []int
 }
+
+// orderKey is a request's position in the arbitration order, packed into a
+// 128-bit big-endian integer that sorts ascending from the highest-priority
+// request:
+//
+//	hi: major (8 bits) | deadline (top 56 bits)
+//	lo: deadline (low 8 bits) | node (16) | same-node rank (16) | slate index (16)
+//
+// major is the inverted 5-bit priority (Map5Bit) or the inverted class band
+// (MapExact); the deadline is the full-resolution deadline with its sign bit
+// flipped so it orders as unsigned (MapExact), or zero (Map5Bit). The
+// same-node rank counts the node's other requests this round that compare
+// ahead of it — what compare's deadline/message-ID tie-break decides — or
+// compare equal and come earlier in the slate, so equal requests keep slate
+// order as a stable sort would. The slate index locates the request. A
+// slate holds at most 2×64 requests, well inside the 16-bit fields.
+type orderKey struct{ hi, lo uint64 }
+
+const (
+	keyIndexBits = 16
+	keyRankShift = keyIndexBits
+	keyNodeShift = 2 * keyIndexBits
+)
+
+func (x orderKey) less(y orderKey) bool {
+	return x.hi < y.hi || x.hi == y.hi && x.lo < y.lo
+}
+
+// index returns the key's slate index.
+func (x orderKey) index() int { return int(x.lo & (1<<keyIndexBits - 1)) }
 
 // NewArbiter returns a CCR-EDF arbiter for a ring of n nodes.
 func NewArbiter(n int, mode sched.MapMode, spatialReuse bool) (*Arbiter, error) {
@@ -126,14 +160,14 @@ func NewArbiter(n int, mode sched.MapMode, spatialReuse bool) (*Arbiter, error) 
 	return &Arbiter{ring: r, mode: mode, spatialReuse: spatialReuse}, nil
 }
 
-// BindScratch points the arbiter's reusable per-round scratch at
-// caller-owned backing storage. A batched engine (network.NewBatch) carves
-// one contiguous arena into per-replica slices so every replica's sort
-// buffer, grant list and deny list sit replica-indexed in memory. Purely a
-// placement decision: Arbitrate rebuilds all three from length zero every
-// round, and appends past the bound capacity fall back to ordinary growth.
-func (a *Arbiter) BindScratch(sorted []Request, grants []Grant, denied []int) {
-	a.sorted, a.grants, a.denied = sorted[:0], grants[:0], denied[:0]
+// BindScratch points the arbiter's reusable outcome scratch at caller-owned
+// backing storage. A batched engine (network.NewBatch) carves one contiguous
+// arena into per-replica slices so every replica's grant list and deny list
+// sit replica-indexed in memory. Purely a placement decision: Arbitrate
+// rebuilds both from length zero every round, and appends past the bound
+// capacity fall back to ordinary growth.
+func (a *Arbiter) BindScratch(grants []Grant, denied []int) {
+	a.grants, a.denied = grants[:0], denied[:0]
 }
 
 // Name implements Protocol.
@@ -208,6 +242,63 @@ func (a *Arbiter) compare(x, y Request) int {
 	return 0
 }
 
+// key returns r's order key at slate index idx, with a zero same-node rank.
+func (a *Arbiter) key(r Request, idx int) orderKey {
+	major, deadline := ^r.Prio, uint64(0)
+	if a.mode == sched.MapExact {
+		major = ^uint8(sched.PrioClass(r.Prio))
+		deadline = uint64(r.Deadline) ^ 1<<63
+	}
+	return orderKey{
+		hi: uint64(major)<<56 | deadline>>8,
+		lo: deadline<<56 | uint64(r.Node)<<keyNodeShift | uint64(idx),
+	}
+}
+
+// order fills a.keys with one key per non-empty request of reqs and sorts
+// them, so a.keys lists the slate in compare order. Only requests of the
+// same node ever need compare itself, once per pair: every other ordering
+// decision is a key comparison.
+func (a *Arbiter) order(reqs []Request) {
+	keys, prev := a.keys[:0], a.prev[:0]
+	var seen ring.NodeSet
+	for i, r := range reqs {
+		if r.Empty() {
+			continue
+		}
+		k, link := a.key(r, i), uint16(len(keys))
+		if seen.Contains(r.Node) {
+			// Rank r against each earlier request of its node, walking
+			// the node's chain back from its latest key (a key linking to
+			// itself ends the chain).
+			link = a.last[r.Node]
+			for j := link; ; j = prev[j] {
+				if a.compare(r, reqs[keys[j].index()]) < 0 {
+					keys[j].lo += 1 << keyRankShift
+				} else {
+					k.lo += 1 << keyRankShift
+				}
+				if prev[j] == j {
+					break
+				}
+			}
+		}
+		seen = seen.Add(r.Node)
+		a.last[r.Node] = uint16(len(keys))
+		keys, prev = append(keys, k), append(prev, link)
+	}
+	// Insertion sort: the keys are distinct (different nodes differ in the
+	// node field, one node's requests in rank), so any sort yields the same
+	// sequence, and on the ≤ 2N keys of a slot a direct insertion sort of
+	// 16-byte words beats the generic machinery.
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	a.keys, a.prev = keys, prev
+}
+
 // Arbitrate implements Protocol. The master traverses the sorted request
 // list, starting with the highest priority, and tries to fulfil as many of
 // the N requests as possible: the top request always succeeds (its owner
@@ -215,32 +306,17 @@ func (a *Arbiter) compare(x, y Request) int {
 // when spatial reuse is enabled, their segment is link-disjoint from every
 // earlier grant and their path avoids the new clock break.
 func (a *Arbiter) Arbitrate(reqs []Request, curMaster int) Outcome {
-	sorted := a.sorted[:0]
-	for _, r := range reqs {
-		if !r.Empty() {
-			sorted = append(sorted, r)
-		}
-	}
-	a.sorted = sorted
-	if len(sorted) == 0 {
+	a.order(reqs)
+	if len(a.keys) == 0 {
 		// Nothing to send anywhere: the current master keeps clocking.
 		return Outcome{Master: curMaster}
 	}
-	// compare is a strict total order (node index and message ID break every
-	// tie), so any comparison sort yields the same sequence; a direct
-	// insertion sort beats the generic machinery on the ≤ 2N slates this
-	// per-slot path sees, and the slate arrives nearly sorted in steady state.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && a.compare(sorted[j], sorted[j-1]) < 0; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-
-	master := sorted[0].Node
+	master := reqs[a.keys[0].index()].Node
 	grants, denied := a.grants[:0], a.denied[:0]
 	var used ring.LinkSet
 	var granted, requested ring.NodeSet
-	for i, r := range sorted {
+	for i, k := range a.keys {
+		r := reqs[k.index()]
 		requested = requested.Add(r.Node)
 		links := a.ring.PathLinks(r.Node, r.Dests)
 		switch {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"ccredf/internal/ring"
 	"ccredf/internal/rng"
 	"ccredf/internal/sched"
 	"ccredf/internal/timing"
@@ -91,5 +93,133 @@ func TestCompareStrictTotalOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// insertionOrder is the arbitration order by definition: a stable insertion
+// sort of the slate's non-empty requests under compare. It returns their
+// slate indices.
+func insertionOrder(a *Arbiter, reqs []Request) []int {
+	var idx []int
+	for i, r := range reqs {
+		if !r.Empty() {
+			idx = append(idx, i)
+		}
+	}
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && a.compare(reqs[idx[j]], reqs[idx[j-1]]) < 0; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	return idx
+}
+
+// keyOrder returns the slate indices in the order the arbiter's keys sort.
+func keyOrder(a *Arbiter, reqs []Request) []int {
+	a.order(reqs)
+	idx := make([]int, len(a.keys))
+	for i, k := range a.keys {
+		idx[i] = k.index()
+	}
+	return idx
+}
+
+// randSlate builds a network-shaped slate: one primary per node at index
+// node, then (with secondaries) one secondary per node at index n+node.
+// Values come from small spaces so priorities, deadlines and message IDs
+// collide across nodes; tie forces a node's secondary to share its primary's
+// priority ("prio") or deadline ("deadline") as well.
+func randSlate(src *rng.Source, n int, secondaries bool, tie string) []Request {
+	slate := n
+	if secondaries {
+		slate = 2 * n
+	}
+	reqs := make([]Request, slate)
+	for i := range reqs {
+		node := i % n
+		if src.Intn(5) == 0 {
+			reqs[i] = Request{Node: node}
+			continue
+		}
+		reqs[i] = Request{
+			Node:     node,
+			Prio:     uint8(1 + src.Intn(31)),
+			Deadline: timing.Time(src.Intn(6)) * timing.Microsecond,
+			Dests:    ring.Node((node + 1 + src.Intn(n-1)) % n),
+			MsgID:    int64(src.Intn(6)),
+		}
+		switch src.Intn(8) {
+		case 0, 1:
+			reqs[i].Deadline = timing.Forever
+		case 2:
+			reqs[i].Deadline = -reqs[i].Deadline // keys must order signed deadlines
+		}
+		if i >= n && !reqs[node].Empty() {
+			switch tie {
+			case "prio":
+				reqs[i].Prio = reqs[node].Prio
+			case "deadline":
+				reqs[i].Prio, reqs[i].Deadline = reqs[node].Prio, reqs[node].Deadline
+			}
+		}
+	}
+	return reqs
+}
+
+// TestKeyOrderMatchesCompare checks that sorting precomputed order keys
+// reproduces the insertion sort under compare exactly, in both mapping
+// modes, on network-shaped slates with and without secondary requests and
+// with forced same-node ties.
+func TestKeyOrderMatchesCompare(t *testing.T) {
+	for _, mode := range []sched.MapMode{sched.Map5Bit, sched.MapExact} {
+		for _, n := range []int{2, 8, 32, 64} {
+			for _, sec := range []bool{false, true} {
+				for _, tie := range []string{"none", "prio", "deadline"} {
+					a := mustArbiter(t, n, mode, true)
+					src := rng.New(uint64(n)*7 + 1)
+					for round := 0; round < 300; round++ {
+						reqs := randSlate(src, n, sec, tie)
+						want, got := insertionOrder(a, reqs), keyOrder(a, reqs)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%v n=%d secondaries=%v tie=%s round %d:\nkey order   %v\ncompare order %v\nslate %+v",
+								mode, n, sec, tie, round, got, want, reqs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKeyOrderArbitrarySlates covers slates outside the network's shape:
+// any number of requests per node, in any position, including exact
+// duplicates (which keep slate order, as the stable insertion sort does).
+func TestKeyOrderArbitrarySlates(t *testing.T) {
+	for _, mode := range []sched.MapMode{sched.Map5Bit, sched.MapExact} {
+		a := mustArbiter(t, 8, mode, true)
+		src := rng.New(9)
+		for round := 0; round < 2000; round++ {
+			reqs := make([]Request, 1+src.Intn(40))
+			for i := range reqs {
+				reqs[i] = randRequest(src, 4)
+				reqs[i].Dests = ring.Node(7)
+			}
+			if want, got := insertionOrder(a, reqs), keyOrder(a, reqs); !slices.Equal(got, want) {
+				t.Fatalf("%v round %d:\nkey order     %v\ncompare order %v\nslate %+v", mode, round, got, want, reqs)
+			}
+		}
+	}
+}
+
+// TestArbitrateZeroAlloc checks that a warmed-up arbiter allocates nothing
+// per round, with secondaries in the slate.
+func TestArbitrateZeroAlloc(t *testing.T) {
+	for _, mode := range []sched.MapMode{sched.Map5Bit, sched.MapExact} {
+		a := mustArbiter(t, 32, mode, true)
+		reqs := randSlate(rng.New(3), 32, true, "prio")
+		a.Arbitrate(reqs, 0)
+		if allocs := testing.AllocsPerRun(100, func() { a.Arbitrate(reqs, 1) }); allocs != 0 {
+			t.Fatalf("%v: %v allocs per Arbitrate, want 0", mode, allocs)
+		}
 	}
 }

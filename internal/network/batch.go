@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"ccredf/internal/ccfpr"
 	"ccredf/internal/core"
-	"ccredf/internal/tdma"
 	"ccredf/internal/timing"
 )
 
@@ -19,7 +17,7 @@ import (
 // path. What the batch changes is placement and pacing:
 //
 //   - Struct-of-arrays scratch. All hot per-slot state — request slates,
-//     engine points, arbiter sort/grant/deny scratch and the pooled delivery
+//     engine points, arbiter grant/deny scratch and the pooled delivery
 //     events — comes from one contiguous arena, laid out replica after
 //     replica, instead of K constellations of separate heap objects.
 //   - Shared shape tables. Replicas with identical physical Params share one
@@ -81,20 +79,12 @@ func (a *batchArena) takeDeliveries(n int) []delivery {
 
 // arenaReqsPerReplica returns how many core.Request slots one replica of cfg
 // consumes from the arena: the double-buffered slate (plus the secondary
-// slate and the 2N combined scratch under the extension) and the CCR-EDF
-// arbiter's sort buffer.
+// slate and the 2N combined scratch under the extension).
 func arenaReqsPerReplica(cfg *Config) int {
 	n := cfg.Params.Nodes
 	total := 2 * n // sampled + sampledSpare
 	if cfg.SecondaryRequests {
 		total += 2*n + 2*n // secondary slate pair + combined scratch
-	}
-	if _, ok := cfg.Protocol.(*core.Arbiter); ok {
-		sort := n
-		if cfg.SecondaryRequests {
-			sort = 2 * n
-		}
-		total += sort
 	}
 	return total
 }
@@ -157,21 +147,12 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 		}
 		cfg.table = tableFor(cfg.Params)
 		cfg.arena = arena
-		// Replica-indexed arbiter scratch: the grant/deny (and for CCR-EDF
-		// the sort) buffers of replica i live in the arena segment carved
-		// for it. Protocols outside the three known arbiters keep their
-		// private scratch — placement is an optimisation, never a contract.
+		// Replica-indexed arbiter scratch: the grant/deny buffers of
+		// replica i live in the arena segment carved for it. Protocols
+		// without BindScratch keep their private scratch — placement is an
+		// optimisation, never a contract.
 		nodes := cfg.Params.Nodes
-		switch p := cfg.Protocol.(type) {
-		case *core.Arbiter:
-			sort := nodes
-			if cfg.SecondaryRequests {
-				sort = 2 * nodes
-			}
-			p.BindScratch(arena.takeReqs(sort), arena.takeGrants(nodes), arena.takeDenied(nodes))
-		case *ccfpr.Arbiter:
-			p.BindScratch(arena.takeGrants(nodes), arena.takeDenied(nodes))
-		case *tdma.Arbiter:
+		if p, ok := cfg.Protocol.(scratchBinder); ok {
 			p.BindScratch(arena.takeGrants(nodes), arena.takeDenied(nodes))
 		}
 		n, err := New(cfg)
@@ -181,6 +162,12 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 		b.nets = append(b.nets, n)
 	}
 	return b, nil
+}
+
+// scratchBinder is implemented by the arbiters whose outcome scratch a batch
+// can place in its arena (core, ccfpr and tdma).
+type scratchBinder interface {
+	BindScratch(grants []core.Grant, denied []int)
 }
 
 // sameShape reports whether two Params describe the same physical

@@ -16,6 +16,10 @@ import (
 // simulation — events are not replayed.
 func (n *Network) Attach(o obs.Observer) { n.pipe.Attach(o) }
 
+// Wants reports whether any attached observer consumes events of kind k,
+// that is whether the network builds and dispatches such events at all.
+func (n *Network) Wants(k obs.Kind) bool { return n.pipe.Wants(k) }
+
 // AttachTracer subscribes a protocol tracer. A nil tracer is ignored.
 func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
@@ -137,6 +141,11 @@ type wireChecker struct {
 	enc  wire.Writer
 }
 
+// Kinds declares the one kind the checker consumes, so the always-on facade
+// wire check does not make the network build every other kind (N
+// KindRequestSampled events per slot among them).
+func (w *wireChecker) Kinds() obs.KindSet { return obs.KindsOf(obs.KindArbitration) }
+
 func (w *wireChecker) OnEvent(e *obs.Event) {
 	if e.Kind != obs.KindArbitration {
 		return
@@ -212,6 +221,9 @@ type dataChecker struct {
 	enc          wire.Writer
 	got          wire.DataPacket
 }
+
+// Kinds declares the one kind the checker consumes.
+func (d *dataChecker) Kinds() obs.KindSet { return obs.KindsOf(obs.KindFragmentSent) }
 
 func (d *dataChecker) OnEvent(e *obs.Event) {
 	if e.Kind != obs.KindFragmentSent {

@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"ccredf/internal/timing"
@@ -15,6 +15,11 @@ import (
 // Histogram accumulates timing.Time samples in logarithmic buckets
 // (powers of two of picoseconds) plus exact running moments. The zero value
 // is ready to use.
+//
+// With Retain set it also keeps every sample, compactly (see samples), for
+// exact quantiles. Quantile sorts the retained samples in place, so a copy
+// of a Histogram that has samples shares them with the original; pass
+// histograms by pointer.
 type Histogram struct {
 	count   int64
 	sum     float64
@@ -22,7 +27,7 @@ type Histogram struct {
 	min     timing.Time
 	max     timing.Time
 	buckets [64]int64
-	samples []timing.Time // retained when Retain is set, for exact quantiles
+	samples samples // retained when Retain is set, for exact quantiles
 	Retain  bool
 }
 
@@ -50,22 +55,16 @@ func (h *Histogram) Observe(v timing.Time) {
 	h.sumSq += f * f
 	h.buckets[bucketOf(v)]++
 	if h.Retain {
-		h.samples = append(h.samples, v)
+		h.samples.add(v)
 	}
 }
 
+// bucketOf returns the smallest i with v < 2^i (0 for v ≤ 0).
 func bucketOf(v timing.Time) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 64 - 1
-	for i := 0; i < 64; i++ {
-		if v < 1<<uint(i) {
-			b = i
-			break
-		}
-	}
-	return b
+	return bits.Len64(uint64(v))
 }
 
 // Count returns the number of samples.
@@ -102,6 +101,10 @@ func (h *Histogram) StdDev() timing.Time {
 // Quantile returns the q-quantile (q in [0,1]). With retained samples it is
 // exact; otherwise it is the upper bound of the bucket containing the
 // quantile. It returns 0 with no samples.
+//
+// Quantile sorts the retained samples in place (once per batch of new
+// samples) and allocates nothing, so it mutates the histogram: it is not
+// safe to call concurrently, not even with other Quantile calls.
 func (h *Histogram) Quantile(q float64) timing.Time {
 	if h.count == 0 {
 		return 0
@@ -113,10 +116,8 @@ func (h *Histogram) Quantile(q float64) timing.Time {
 		q = 1
 	}
 	if h.Retain {
-		s := append([]timing.Time(nil), h.samples...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		idx := int(q * float64(len(s)-1))
-		return s[idx]
+		h.samples.sort()
+		return h.samples.at(int(q * float64(h.samples.len()-1)))
 	}
 	target := int64(q * float64(h.count-1))
 	var cum int64
@@ -151,7 +152,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.buckets[i] += other.buckets[i]
 	}
 	if h.Retain && other.Retain {
-		h.samples = append(h.samples, other.samples...)
+		h.samples.merge(&other.samples)
 	}
 }
 

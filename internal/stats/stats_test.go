@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,5 +215,116 @@ func BenchmarkObserve(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
 		h.Observe(timing.Time(i))
+	}
+}
+
+// refQuantile is the copy-and-sort definition of an exact quantile over the
+// clamped samples.
+func refQuantile(samples []timing.Time, q float64) timing.Time {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return s[int(q*float64(len(s)-1))]
+}
+
+// randSample draws a latency from a mix of scales: mostly below 2³² ps,
+// some at and above it (the wide store), some negative (clamped to 0).
+func randSample(src *rng.Source) timing.Time {
+	switch src.Intn(6) {
+	case 0:
+		return -timing.Time(src.Intn(1000))
+	case 1:
+		return 1<<32 - 2 + timing.Time(src.Intn(4))
+	case 2:
+		return timing.Time(src.Uint64() >> 1)
+	default:
+		return timing.Time(src.Intn(1 << 32))
+	}
+}
+
+var testQuantiles = []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
+
+func checkQuantiles(t *testing.T, h *Histogram, ref []timing.Time, what string) {
+	t.Helper()
+	for _, q := range testQuantiles {
+		if got, want := h.Quantile(q), refQuantile(ref, q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %d, copy-and-sort %d", what, q, got, want)
+		}
+	}
+}
+
+func clampNeg(v timing.Time) timing.Time { return max(v, 0) }
+
+// TestHistogramQuantileExact checks the compact sample store against the
+// copy-and-sort definition: random samples of every scale, merged
+// histograms, and Observe calls interleaved with Quantile calls.
+func TestHistogramQuantileExact(t *testing.T) {
+	src := rng.New(11)
+	for round := 0; round < 50; round++ {
+		h, ref := NewHistogram(), []timing.Time(nil)
+		size, draw := 1+src.Intn(3000), randSample
+		switch round % 5 {
+		case 0: // several sealed blocks of distinct samples
+			size = 1 + src.Intn(5*sampleBlock)
+		case 1: // several sealed blocks of heavily repeated samples (run-coded)
+			size = 1 + src.Intn(5*sampleBlock)
+			draw = func(src *rng.Source) timing.Time {
+				if src.Intn(100) == 0 {
+					return randSample(src)
+				}
+				return timing.Time(src.Intn(40)) * timing.Nanosecond
+			}
+		}
+		for i := 0; i < size; i++ {
+			v := draw(src)
+			h.Observe(v)
+			ref = append(ref, clampNeg(v))
+		}
+		checkQuantiles(t, h, ref, "random")
+
+		other, otherRef := NewHistogram(), []timing.Time(nil)
+		otherSize := src.Intn(500)
+		if round%5 < 2 {
+			otherSize = src.Intn(3 * sampleBlock)
+		}
+		for i := 0; i < otherSize; i++ {
+			v := draw(src)
+			other.Observe(v)
+			otherRef = append(otherRef, clampNeg(v))
+		}
+		h.Merge(other)
+		ref = append(ref, otherRef...)
+		checkQuantiles(t, h, ref, "merged")
+
+		for i := 0; i < 200; i++ {
+			v := randSample(src)
+			h.Observe(v)
+			ref = append(ref, clampNeg(v))
+			if i%17 == 0 {
+				checkQuantiles(t, h, ref, "interleaved")
+			}
+		}
+		checkQuantiles(t, h, ref, "interleaved")
+		if int64(len(ref)) != h.Count() {
+			t.Fatalf("Count = %d, want %d", h.Count(), len(ref))
+		}
+	}
+}
+
+// TestHistogramQuantileNoAlloc checks that Quantile sorts in place: it
+// allocates nothing, whether it has new samples to sort or not.
+func TestHistogramQuantileNoAlloc(t *testing.T) {
+	h := NewHistogram()
+	src := rng.New(5)
+	for i := 0; i < 10000; i++ {
+		h.Observe(randSample(src))
+	}
+	h.Quantile(0.5)
+	allocs := testing.AllocsPerRun(50, func() {
+		h.samples.dirty = true // as after new samples: the next Quantile sorts
+		h.Quantile(0.99)
+		h.Quantile(0.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("Quantile allocates %v times per call pair, want 0", allocs)
 	}
 }

@@ -58,19 +58,30 @@ func DataPacketBits(n, payloadLen int) int {
 	return dataHeaderBits(n) + 16 + 8*payloadLen
 }
 
-// CRC16 computes CRC-16/CCITT-FALSE over buf — the checksum the reliable
-// transmission service uses to detect corrupted fragments.
-func CRC16(buf []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range buf {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crcTable holds, for each value of the CRC's top byte, the remainder that
+// byte leaves after eight shifts through the CCITT polynomial 0x1021.
+var crcTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for k := 0; k < 8; k++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// CRC16 computes CRC-16/CCITT-FALSE over buf — the checksum the reliable
+// transmission service uses to detect corrupted fragments. It consumes one
+// byte per table lookup.
+func CRC16(buf []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range buf {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}
 	return crc
 }

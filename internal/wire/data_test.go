@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -137,6 +138,34 @@ func TestCRC16KnownVectors(t *testing.T) {
 	}
 	if got := CRC16(nil); got != 0xFFFF {
 		t.Fatalf("CRC16(empty) = %04x, want ffff", got)
+	}
+}
+
+// crc16Bitwise is the bit-at-a-time CRC-16/CCITT-FALSE definition the
+// table-driven CRC16 must reproduce.
+func crc16Bitwise(buf []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range buf {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRC16MatchesBitwise(t *testing.T) {
+	src := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		buf := make([]byte, src.Intn(5000))
+		src.Read(buf)
+		if got, want := CRC16(buf), crc16Bitwise(buf); got != want {
+			t.Fatalf("%d-byte buffer: CRC16 = %04x, bitwise %04x", len(buf), got, want)
+		}
 	}
 }
 

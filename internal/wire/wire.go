@@ -23,8 +23,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ccredf/internal/ring"
 	"ccredf/internal/timing"
@@ -106,12 +109,34 @@ func (w *Writer) WriteBit(b bool) {
 	w.nbit++
 }
 
-// WriteBits appends the width low-order bits of v, most significant first.
+// WriteBits appends the width low-order bits of v, most significant first
+// (bits of a width above 64 are leading zeros). It stores a field through
+// one 64-bit big-endian window over the partial last byte and the bytes
+// after it, instead of one bit at a time; fields wider than the window
+// holds split in two.
 func (w *Writer) WriteBits(v uint64, width int) {
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
+	if width > windowBits {
+		w.WriteBits(v>>32, width-32)
+		width = 32
 	}
+	if width <= 0 {
+		return
+	}
+	idx, off := w.nbit/8, w.nbit%8
+	w.buf = slices.Grow(w.buf, idx+8-len(w.buf))
+	window := w.buf[idx : idx+8]
+	var partial uint64
+	if off != 0 {
+		partial = uint64(window[0]) << 56
+	}
+	binary.BigEndian.PutUint64(window, partial|v<<uint(64-width)>>uint(off))
+	w.nbit += width
+	w.buf = w.buf[:(w.nbit+7)/8]
 }
+
+// windowBits is the widest field one 64-bit window access moves: the window
+// starts at the partial byte, which may hold up to 7 bits already.
+const windowBits = 56
 
 // Reset discards the written bits while keeping the grown buffer, so one
 // Writer can serialise a packet every arbitration round without reallocating.
@@ -156,20 +181,33 @@ func (r *Reader) ReadBit() (bool, error) {
 }
 
 // ReadBits consumes width bits and returns them as the low-order bits of a
-// uint64, most significant first.
+// uint64, most significant first (of a width above 64, the last 64 bits). It
+// loads a field through one 64-bit window, like Writer.WriteBits. A read past
+// the end consumes the remaining bits and fails with a truncation error.
 func (r *Reader) ReadBits(width int) (uint64, error) {
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
+	if width <= 0 {
+		return 0, nil
+	}
+	if width > r.Remaining() {
+		r.nbit = 8 * len(r.buf)
+		return 0, errTruncated
+	}
+	if width > windowBits {
+		hi, _ := r.ReadBits(width - 32)
+		lo, _ := r.ReadBits(32)
+		return hi<<32 | lo, nil
+	}
+	idx, off := r.nbit/8, r.nbit%8
+	var window uint64
+	if rest := r.buf[idx:]; len(rest) >= 8 {
+		window = binary.BigEndian.Uint64(rest)
+	} else {
+		for i, b := range rest {
+			window |= uint64(b) << uint(56-8*i)
 		}
 	}
-	return v, nil
+	r.nbit += width
+	return window << uint(off) >> uint(64-width), nil
 }
 
 // Remaining returns the number of unread bits.
@@ -281,12 +319,7 @@ func EncodeDistributionInto(w *Writer, d Distribution, n int) error {
 	w.Reset()
 	w.WriteBit(true) // start bit
 	// N−1 result bits: every node except HPNode, in ascending index order.
-	for i := 0; i < n; i++ {
-		if i == d.HPNode {
-			continue
-		}
-		w.WriteBit(d.Granted.Contains(i))
-	}
+	w.WriteBits(resultBits(d.Granted, d.HPNode, n), n-1)
 	w.WriteBits(uint64(d.HPNode), timing.CeilLog2(n))
 	// "Other fields": intrinsic services (ref [11]).
 	w.WriteBits(uint64(d.Acks), n)
@@ -320,19 +353,7 @@ func DecodeDistribution(buf []byte, n int) (Distribution, error) {
 	if int(hp) >= n {
 		return Distribution{}, fmt.Errorf("wire: hp-node %d outside ring of %d", hp, n)
 	}
-	d := Distribution{HPNode: int(hp)}
-	// Re-associate the N−1 result bits (MSB-first read order) with node
-	// indices.
-	j := 0
-	for i := 0; i < n; i++ {
-		if i == d.HPNode {
-			continue
-		}
-		if results>>uint(n-2-j)&1 == 1 {
-			d.Granted = d.Granted.Add(i)
-		}
-		j++
-	}
+	d := Distribution{HPNode: int(hp), Granted: grantedSet(results, int(hp), n)}
 	d.Granted = d.Granted.Add(d.HPNode) // implicit grant
 	acks, err := r.ReadBits(n)
 	if err != nil {
@@ -348,6 +369,24 @@ func DecodeDistribution(buf []byte, n int) (Distribution, error) {
 		return Distribution{}, err
 	}
 	return d, nil
+}
+
+// resultBits packs the distribution packet's N−1 result bits: the grant of
+// every node except hp, in ascending node order, first node in the most
+// significant of the n−1 low-order bits.
+func resultBits(granted ring.NodeSet, hp, n int) uint64 {
+	g := uint64(granted)
+	below := g & (1<<uint(hp) - 1)
+	compact := below | g>>uint(hp+1)<<uint(hp) // drop hp's bit
+	return bits.Reverse64(compact) >> uint(65-n)
+}
+
+// grantedSet is the inverse of resultBits: it re-associates the N−1 result
+// bits with node indices, leaving hp's (implicit) grant unset.
+func grantedSet(results uint64, hp, n int) ring.NodeSet {
+	compact := bits.Reverse64(results) >> uint(65-n)
+	below := compact & (1<<uint(hp) - 1)
+	return ring.NodeSet(below | compact>>uint(hp)<<uint(hp+1))
 }
 
 // CollectionBits returns the on-wire length in bits of a collection packet
