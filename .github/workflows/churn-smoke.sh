@@ -67,8 +67,10 @@ RC=0
 "$SWEEP" -protocols ccr-edf -nodes 16 -loads 0.2 -slots 10000 \
   -churn "$CHURN" -csv "$TMP/sweep.csv" >/dev/null
 head -1 "$TMP/sweep.csv" | grep -q 'admitted_hard,admitted_firm,admitted_be,evicted_hard,evicted_firm,evicted_be,missed_hard,missed_firm,missed_be'
-awk -F, 'NR==2 {
-  if ($15+0 <= 0 || $18 != 0 || $19+$20 <= 0 || $21 != 0 || $28 != "") exit 1
+awk -F, 'NR==1{for(i=1;i<=NF;i++)c[$i]=i;next}
+NR==2 {
+  if ($c["admitted_hard"]+0 <= 0 || $c["evicted_hard"] != 0 ||
+      $c["evicted_firm"]+$c["evicted_be"] <= 0 || $c["missed_hard"] != 0 || $c["error"] != "") exit 1
 }' "$TMP/sweep.csv"
 
 echo "churn-smoke: ok"

@@ -57,7 +57,11 @@ RC=0
 "$SWEEP" -protocols ccr-edf -nodes 8 -loads 0.4 -slots 3000 \
   -faults 'coll=0.02,crash=2@100+200,seed=5' -csv "$TMP/sweep.csv" >/dev/null
 head -1 "$TMP/sweep.csv" | grep -q 'faults_injected,faults_recovered,ring_util,cross_miss_ratio'
-awk -F, 'NR==2 { if ($11+0 <= 0 || $11 != $12 || $13 == "" || $15 != "") exit 1 }' "$TMP/sweep.csv"
+awk -F, 'NR==1{for(i=1;i<=NF;i++)c[$i]=i;next}
+NR==2 {
+  if ($c["faults_injected"]+0 <= 0 || $c["faults_injected"] != $c["faults_recovered"] ||
+      $c["ring_util"] == "" || $c["error"] != "") exit 1
+}' "$TMP/sweep.csv"
 
 # Bridge crash on a multi-ring topology: crashing a bridge endpoint
 # partitions the chain, so in-flight relays expire at the dead bridge; after

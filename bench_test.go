@@ -145,39 +145,6 @@ func BenchmarkSteadyStateSlots(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedSlots measures the effective per-slot cost of the batched
-// multi-replica engine: eight replicas of the slotbench workload (same
-// topology, per-replica seeds and load variants) advancing through one
-// engine pass. slots/op counts slots executed across ALL replicas per
-// iteration, so ns/op ÷ slots/op is the effective ns/slot the batched sweep
-// pays — the figure BENCH_slot_engine.json's slot_engine_batched section
-// records. With -benchmem the allocation columns must read 0.
-func BenchmarkBatchedSlots(b *testing.B) {
-	const replicas = 8
-	for _, name := range slotbench.Protocols {
-		b.Run(name, func(b *testing.B) {
-			batch, err := slotbench.NewBatch(name, replicas)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total := func() int64 {
-				var s int64
-				for j := 0; j < batch.Len(); j++ {
-					s += batch.Net(j).Metrics().Slots.Value()
-				}
-				return s
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := total()
-			for i := 0; i < b.N; i++ {
-				batch.RunSlots(1)
-			}
-			b.ReportMetric(float64(total()-start)/float64(b.N), "slots/op")
-		})
-	}
-}
-
 // BenchmarkAdmissionControl measures the admission test itself.
 func BenchmarkAdmissionControl(b *testing.B) {
 	p := timing.DefaultParams(8)

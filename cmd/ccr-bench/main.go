@@ -37,7 +37,6 @@ func main() {
 		out        = flag.String("out", "", "also write a Markdown report to this file")
 		jsonOut    = flag.String("json", "", "also write the machine-readable benchmark baseline to this file (forces a serial run)")
 		benchSlots = flag.Int64("bench-slots", 4096, "slot horizon of the -json slot-engine microbenchmark")
-		benchReps  = flag.Int("bench-replicas", 8, "replica count of the -json batched slot-engine microbenchmark")
 		benchRound = flag.Int("bench-rounds", 3, "measurement rounds of the -json slot-engine microbenchmark; the baseline keeps each protocol's fastest round")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "experiments to run in parallel")
 	)
@@ -131,7 +130,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *jsonOut != "" {
-		if err := writeBaseline(*jsonOut, selected, outcomes, *benchSlots, *benchReps, *benchRound); err != nil {
+		if err := writeBaseline(*jsonOut, selected, outcomes, *benchSlots, *benchRound); err != nil {
 			fmt.Fprintf(os.Stderr, "ccr-bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -164,24 +163,19 @@ type experimentBench struct {
 }
 
 // baseline is the BENCH_slot_engine.json document: the steady-state
-// slot-engine microbenchmark (the number CI gates on), its batched
-// multi-replica counterpart, and per-experiment per-slot costs for the whole
-// P/E suite.
+// slot-engine microbenchmark (the number CI gates on) and per-experiment
+// per-slot costs for the whole P/E suite.
 //
-// Schema 2: slot-engine entries carry requested_slots (the RunSlots budget)
+// Schema 3: slot-engine entries carry requested_slots (the RunSlots budget)
 // next to slots (the count actually executed — real hand-over gaps beat the
-// worst-case budget, so the two differ per protocol), and the
-// slot_engine_batched section records the effective per-slot cost of the
-// batched engine with bench_replicas replicas (its slots field counts slots
-// across all replicas).
+// worst-case budget, so the two differ per protocol). Schema 2 also carried
+// the figures of a batched multi-replica engine that no longer exists.
 type baseline struct {
-	Schema            int               `json:"schema"`
-	Go                string            `json:"go"`
-	BenchSlots        int64             `json:"bench_slots"`
-	BenchReplicas     int               `json:"bench_replicas"`
-	SlotEngine        []slotbench.Stats `json:"slot_engine"`
-	SlotEngineBatched []slotbench.Stats `json:"slot_engine_batched"`
-	Experiments       []experimentBench `json:"experiments"`
+	Schema      int               `json:"schema"`
+	Go          string            `json:"go"`
+	BenchSlots  int64             `json:"bench_slots"`
+	SlotEngine  []slotbench.Stats `json:"slot_engine"`
+	Experiments []experimentBench `json:"experiments"`
 }
 
 // measureBest repeats one protocol's measurement and keeps the fastest
@@ -207,8 +201,8 @@ func measureBest(rounds int, measure func() (slotbench.Stats, error)) (slotbench
 	return best, nil
 }
 
-func writeBaseline(path string, selected []experiment.Experiment, outcomes []outcome, benchSlots int64, benchReps, benchRounds int) error {
-	doc := baseline{Schema: 2, Go: runtime.Version(), BenchSlots: benchSlots, BenchReplicas: benchReps}
+func writeBaseline(path string, selected []experiment.Experiment, outcomes []outcome, benchSlots int64, benchRounds int) error {
+	doc := baseline{Schema: 3, Go: runtime.Version(), BenchSlots: benchSlots}
 	for _, name := range slotbench.Protocols {
 		name := name
 		st, err := measureBest(benchRounds, func() (slotbench.Stats, error) {
@@ -218,16 +212,6 @@ func writeBaseline(path string, selected []experiment.Experiment, outcomes []out
 			return err
 		}
 		doc.SlotEngine = append(doc.SlotEngine, st)
-	}
-	for _, name := range slotbench.Protocols {
-		name := name
-		st, err := measureBest(benchRounds, func() (slotbench.Stats, error) {
-			return slotbench.MeasureBatch(name, benchReps, benchSlots)
-		})
-		if err != nil {
-			return err
-		}
-		doc.SlotEngineBatched = append(doc.SlotEngineBatched, st)
 	}
 	for i := range selected {
 		res := outcomes[i].res

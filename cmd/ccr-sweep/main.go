@@ -43,7 +43,6 @@ func main() {
 		seeds      = flag.String("seeds", "1", "comma-separated seeds")
 		slots      = flag.Int64("slots", 5000, "horizon per point in slot periods")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
-		batch      = flag.Int("batch", sweep.DefaultBatch, "fuse up to this many same-shape points per batched engine pass (1 disables fusion; local runs only)")
 		csvPath    = flag.String("csv", "", "also write results to this CSV file")
 		faults     = flag.String("faults", "", "fault-injection spec applied to every point, e.g. coll=0.01,crash=3@100+50")
 		churnFlag  = flag.String("churn", "", "connection-churn spec applied to every point, e.g. rate=50000,hold=2000 (seedless specs inherit each point's seed)")
@@ -159,11 +158,7 @@ func main() {
 			grid = sweep.WithMode(grid, *modeFlag)
 		}
 		fmt.Printf("sweeping %d points on %d workers (%d slots each)…\n", len(grid), *workers, *slots)
-		if *batch > 1 {
-			outcomes = sweep.RunBatched(grid, *workers, *batch, *slots)
-		} else {
-			outcomes = sweep.Run(grid, *workers, *slots)
-		}
+		outcomes = sweep.Run(grid, *workers, *slots)
 	}
 
 	failed := 0

@@ -160,16 +160,6 @@ func NewArbiter(n int, mode sched.MapMode, spatialReuse bool) (*Arbiter, error) 
 	return &Arbiter{ring: r, mode: mode, spatialReuse: spatialReuse}, nil
 }
 
-// BindScratch points the arbiter's reusable outcome scratch at caller-owned
-// backing storage. A batched engine (network.NewBatch) carves one contiguous
-// arena into per-replica slices so every replica's grant list and deny list
-// sit replica-indexed in memory. Purely a placement decision: Arbitrate
-// rebuilds both from length zero every round, and appends past the bound
-// capacity fall back to ordinary growth.
-func (a *Arbiter) BindScratch(grants []Grant, denied []int) {
-	a.grants, a.denied = grants[:0], denied[:0]
-}
-
 // Name implements Protocol.
 func (a *Arbiter) Name() string {
 	if a.spatialReuse {

@@ -91,19 +91,6 @@ type Config struct {
 	// deterministic clock. Nil — every pre-topology caller — keeps the
 	// private-kernel behaviour byte-identical.
 	Sim *des.Simulator
-
-	// table optionally supplies a precomputed timing table for Params.
-	// NewBatch shares one table across every replica of the same physical
-	// shape; New computes a private one when nil. Unexported: only the
-	// batch constructor may inject it, and only for a Params it was built
-	// from.
-	table *timing.Table
-
-	// arena optionally supplies batch-owned backing storage for the
-	// per-network hot-path scratch (request slates, engine points, arbiter
-	// scratch, delivery pool), laid out per-replica-contiguous by NewBatch.
-	// Nil — every direct caller — keeps private allocations.
-	arena *batchArena
 }
 
 // Metrics aggregates network-wide measurements for one run.
@@ -255,7 +242,7 @@ type Network struct {
 	startSlotFn    des.Handler
 	freeDeliveries *delivery
 
-	// Inline slot execution (DESIGN.md §14). When the network owns its
+	// Inline slot execution (DESIGN.md §9). When the network owns its
 	// simulator (cfg.Sim == nil) the fixed per-slot schedule — N collection
 	// samples, the arbitration and the slot end — is not pushed through the
 	// event heap at all: startSlot records the points in inlinePts with their
@@ -383,40 +370,23 @@ func New(cfg Config) (*Network, error) {
 	if sim == nil {
 		sim = des.New()
 	}
-	tt := cfg.table
-	if tt == nil {
-		tt = timing.NewTable(cfg.Params)
-	}
-	// Hot-path scratch comes from the batch arena when one is configured
-	// (replica-contiguous struct-of-arrays placement, see batch.go) and from
-	// private allocations otherwise. Identical storage either way.
-	newReqs := func(count int) []core.Request {
-		if cfg.arena != nil {
-			return cfg.arena.takeReqs(count)
-		}
-		return make([]core.Request, count)
-	}
 	n := &Network{
 		cfg:          cfg,
 		params:       cfg.Params,
-		tt:           tt,
+		tt:           timing.NewTable(cfg.Params),
 		sim:          sim,
 		r:            r,
 		proto:        cfg.Protocol,
 		adm:          sched.NewAdmission(cfg.Params),
 		rnd:          rng.New(cfg.Seed),
 		metrics:      newMetrics(r.Nodes()),
-		sampled:      newReqs(r.Nodes()),
-		sampledSpare: newReqs(r.Nodes()),
+		sampled:      make([]core.Request, r.Nodes()),
+		sampledSpare: make([]core.Request, r.Nodes()),
 		conns:        make(map[int]*connState),
 		inline:       inline,
 	}
 	if inline {
-		if cfg.arena != nil {
-			n.inlinePts = cfg.arena.takePts(r.Nodes() + 2)
-		} else {
-			n.inlinePts = make([]enginePoint, 0, r.Nodes()+2)
-		}
+		n.inlinePts = make([]enginePoint, 0, r.Nodes()+2)
 	}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.New(*cfg.Faults, r.Nodes())
@@ -434,9 +404,9 @@ func New(cfg Config) (*Network, error) {
 		n.adm.SetModeFunc(ctl.Mode)
 	}
 	if cfg.SecondaryRequests {
-		n.sampled2 = newReqs(r.Nodes())
-		n.sampled2Spare = newReqs(r.Nodes())
-		n.combined = newReqs(2 * r.Nodes())[:0]
+		n.sampled2 = make([]core.Request, r.Nodes())
+		n.sampled2Spare = make([]core.Request, r.Nodes())
+		n.combined = make([]core.Request, 0, 2*r.Nodes())
 	}
 	n.sampleFns = make([]des.Handler, r.Nodes())
 	for i := 0; i < r.Nodes(); i++ {
@@ -457,19 +427,6 @@ func New(cfg Config) (*Network, error) {
 	n.arbitrateFn = n.arbitrate
 	n.endSlotFn = n.endSlot
 	n.startSlotFn = n.startSlot
-	if cfg.arena != nil {
-		// Prewire the delivery pool from the arena's contiguous block: the
-		// free list then never grows on the heap in steady state, and every
-		// in-flight fragment event of replica i lives in replica i's segment.
-		ds := cfg.arena.takeDeliveries(deliveriesPerReplica(r.Nodes()))
-		for i := range ds {
-			d := &ds[i]
-			d.n = n
-			d.fn = d.fire
-			d.next = n.freeDeliveries
-			n.freeDeliveries = d
-		}
-	}
 	// Built-in accounting subscribes first so Metrics always fills; the
 	// caller's observers follow in the order given.
 	n.pipe.Attach(&metricsObserver{m: n.metrics, payload: cfg.Params.SlotPayloadBytes})

@@ -1,12 +1,16 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 
 	"ccredf/internal/ccfpr"
 	"ccredf/internal/core"
+	"ccredf/internal/fault"
+	"ccredf/internal/obs"
 	"ccredf/internal/ring"
 	"ccredf/internal/sched"
+	"ccredf/internal/tdma"
 	"ccredf/internal/timing"
 	"ccredf/internal/trace"
 )
@@ -518,5 +522,69 @@ func TestDeterministicRuns(t *testing.T) {
 	d2, g2 := runOnce()
 	if d1 != d2 || g1 != g2 {
 		t.Fatalf("runs diverge: (%d,%v) vs (%d,%v)", d1, g1, d2, g2)
+	}
+}
+
+// TestRerunReplaysEveryProtocol: a rerun with the same configuration replays
+// the identical protocol event stream and counters, for every protocol
+// configuration, with and without an active fault plan.
+func TestRerunReplaysEveryProtocol(t *testing.T) {
+	plan := &fault.Plan{
+		Seed:                 9,
+		CollectionDropProb:   0.02,
+		DistributionDropProb: 0.02,
+		HandoverFailProb:     0.05,
+		Crashes:              []fault.Crash{{Node: 3, At: 120, Restart: 320}},
+	}
+	runOnce := func(t *testing.T, proto string, faults *fault.Plan) ([]byte, *Metrics) {
+		var buf bytes.Buffer
+		net := newEDF(t, 8, sched.Map5Bit, true, func(c *Config) {
+			c.LossProb = 0.05
+			c.Reliable = true
+			c.Seed = 7
+			c.Faults = faults
+			c.Observers = []obs.Observer{obs.NewJSONLExporter(&buf)}
+			var err error
+			switch proto {
+			case "ccr-edf+secondary":
+				c.SecondaryRequests = true
+			case "cc-fpr":
+				c.Protocol, err = ccfpr.NewArbiter(8, true)
+			case "tdma":
+				c.Protocol, err = tdma.NewArbiter(8, true)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		p := net.Params()
+		for i := 0; i < 5; i++ {
+			net.OpenConnection(sched.Connection{Src: i, Dests: ring.Node(i + 2), Period: 20 * p.SlotTime(), Slots: 2})
+		}
+		net.Run(timing.Time(1000) * p.SlotTime())
+		return buf.Bytes(), net.Metrics()
+	}
+	for _, proto := range []string{"ccr-edf", "ccr-edf+secondary", "cc-fpr", "tdma"} {
+		for _, faults := range []*fault.Plan{nil, plan} {
+			name := proto
+			if faults != nil {
+				name += "+faults"
+			}
+			t.Run(name, func(t *testing.T) {
+				s1, m1 := runOnce(t, proto, faults)
+				s2, m2 := runOnce(t, proto, faults)
+				d1, g1 := m1.MessagesDelivered.Value(), m1.GapTime
+				d2, g2 := m2.MessagesDelivered.Value(), m2.GapTime
+				if d1 == 0 {
+					t.Fatal("nothing delivered")
+				}
+				if faults != nil && m1.FaultsInjected.Value() == 0 {
+					t.Fatal("fault plan injected nothing")
+				}
+				if !bytes.Equal(s1, s2) || d1 != d2 || g1 != g2 {
+					t.Fatalf("runs diverge: (%d,%v) vs (%d,%v)", d1, g1, d2, g2)
+				}
+			})
+		}
 	}
 }

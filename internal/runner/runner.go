@@ -76,25 +76,3 @@ dispatch:
 	wg.Wait()
 	return results, ctx.Err()
 }
-
-// MapGroupsCtx evaluates fn once per group on the worker pool and scatters
-// each group's results back to the item positions the group's indices name:
-// result[groups[g][j]] = fn(g)[j]. It exists for batched execution — a
-// caller that fuses several independent items into one engine pass (a
-// network.Batch over sweep points sharing a config shape) still gets a flat,
-// item-indexed result slice in deterministic order, exactly as if Map had
-// run the items one by one. n is the total item count; indices outside
-// [0, n) and result slices shorter than their group are ignored, leaving the
-// zero value — callers distinguish "skipped" the same way as with MapCtx.
-func MapGroupsCtx[T any](ctx context.Context, n int, groups [][]int, workers int, fn func(g int) []T) ([]T, error) {
-	results := make([]T, n)
-	groupResults, err := MapCtx(ctx, len(groups), workers, fn)
-	for g, rs := range groupResults {
-		for j, i := range groups[g] {
-			if i >= 0 && i < n && j < len(rs) {
-				results[i] = rs[j]
-			}
-		}
-	}
-	return results, err
-}

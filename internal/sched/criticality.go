@@ -3,7 +3,7 @@ package sched
 import "fmt"
 
 // Criticality is a connection's importance level for mixed-criticality
-// admission (DESIGN.md §15). It is orthogonal to the wire traffic Class but
+// admission (DESIGN.md §14). It is orthogonal to the wire traffic Class but
 // maps onto the Table-1 priority classes: hard and firm connections release
 // their periodic messages as ClassRealTime traffic (levels 17–31), while
 // best-effort connections release ClassBestEffort messages (levels 2–16) and

@@ -50,12 +50,16 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 		gate := make(chan struct{})
 		fillerRunning := make(chan struct{})
 		var runs sync.Map // job ID → *int32 engine-run count
+		// The hook claims the first job it runs as the filler: the server is
+		// fresh, has one worker, and the filler is its first submission. The
+		// worker may start the filler before submitRaw returns, so the ID
+		// cannot be stored after the submit.
 		var fillerID atomic.Value
 		fillerID.Store("")
 		srv.runHook = func(j *Job) {
 			c, _ := runs.LoadOrStore(j.ID(), new(int32))
 			atomic.AddInt32(c.(*int32), 1)
-			if j.ID() == fillerID.Load().(string) {
+			if fillerID.CompareAndSwap("", j.ID()) {
 				close(fillerRunning)
 				<-gate
 			}
@@ -63,8 +67,10 @@ func TestReownedJobCannotDoubleRun(t *testing.T) {
 
 		// The gate in the hook, not the horizon, is what holds the worker.
 		filler := submitRaw(t, srv, testScenario(uint64(1000+it), 2000))
-		fillerID.Store(filler.ID())
 		<-fillerRunning
+		if got := fillerID.Load().(string); got != filler.ID() {
+			t.Fatalf("hook claimed job %q as the filler, want %q", got, filler.ID())
+		}
 
 		// Replay: re-own a pending job from "the journal" under its original
 		// (prefixed) ID, exactly as recoverFromJournal would.

@@ -29,24 +29,6 @@ func TestZeroAllocCCREDFSecondary(t *testing.T) { testZeroAllocs(t, "ccr-edf+sec
 func TestZeroAllocCCFPR(t *testing.T)           { testZeroAllocs(t, "cc-fpr") }
 func TestZeroAllocTDMA(t *testing.T)            { testZeroAllocs(t, "tdma") }
 
-// The batched engine must hold the same gate: K replicas through one pass,
-// zero allocations per slot period in steady state.
-func testZeroAllocsBatch(t *testing.T, name string) {
-	b, err := NewBatch(name, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() { b.RunSlots(1) })
-	if avg != 0 {
-		t.Errorf("batched %s slot engine allocates %v objects/slot-period, want 0", name, avg)
-	}
-}
-
-func TestZeroAllocBatchCCREDF(t *testing.T)          { testZeroAllocsBatch(t, "ccr-edf") }
-func TestZeroAllocBatchCCREDFSecondary(t *testing.T) { testZeroAllocsBatch(t, "ccr-edf+secondary") }
-func TestZeroAllocBatchCCFPR(t *testing.T)           { testZeroAllocsBatch(t, "cc-fpr") }
-func TestZeroAllocBatchTDMA(t *testing.T)            { testZeroAllocsBatch(t, "tdma") }
-
 // The fully instrumented engine — wire-codec round-tripping, data-packet
 // CRC verification and protocol invariant checks on every slot — must hold
 // the zero-allocation gate too: verification runs on persistent scratch

@@ -49,11 +49,9 @@ const (
 // report order.
 var Protocols = []string{"ccr-edf", "ccr-edf+secondary", "cc-fpr", "tdma"}
 
-// config builds the protocol configuration for one replica. The seed feeds
-// both Config.Seed (per-replica rng stream) and the workload variant below.
-func config(name string, seed uint64) (network.Config, error) {
-	p := timing.DefaultParams(Nodes)
-	cfg := network.Config{Params: p, Seed: seed}
+// config builds the named protocol's network configuration.
+func config(name string) (network.Config, error) {
+	cfg := network.Config{Params: timing.DefaultParams(Nodes)}
 	switch name {
 	case "ccr-edf", "ccr-edf+secondary":
 		arb, err := core.NewArbiter(Nodes, sched.Map5Bit, true)
@@ -80,17 +78,15 @@ func config(name string, seed uint64) (network.Config, error) {
 	return cfg, nil
 }
 
-// backlog submits the permanent workload of one replica: two backlog
-// messages per node, one near and one far destination, with the push order
+// backlog submits the permanent workload: two backlog messages per node,
+// one to its neighbour and one to the node opposite, with the push order
 // alternating so ring-wide the queue heads mix short and long segments —
 // arbitration sees contention, spatial reuse packs the short ones, and (with
 // the extension) odd nodes advertise a shorter-segment secondary behind
-// their far-destination head. The variant rotates the far destination so
-// batch replicas offer different loads while staying fully contended.
-func backlog(net *network.Network, variant uint64, slots int) error {
-	farOff := 2 + int(variant%5) // in [2, 6]: never the node itself or its near neighbour
+// their far-destination head.
+func backlog(net *network.Network, slots int) error {
 	for i := 0; i < Nodes; i++ {
-		near, far := (i+1)%Nodes, (i+farOff)%Nodes
+		near, far := (i+1)%Nodes, (i+Nodes/2)%Nodes
 		first, second := near, far
 		if i%2 == 1 {
 			first, second = far, near
@@ -108,7 +104,7 @@ func backlog(net *network.Network, variant uint64, slots int) error {
 // New builds a warmed-up network running the named protocol over the
 // permanent-backlog workload. Valid names are listed in Protocols.
 func New(name string) (*network.Network, error) {
-	cfg, err := config(name, 0)
+	cfg, err := config(name)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +112,7 @@ func New(name string) (*network.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := backlog(net, 2, backlogSlots); err != nil { // variant 2 ⇒ the original far = i+4
+	if err := backlog(net, backlogSlots); err != nil {
 		return nil, err
 	}
 	net.RunSlots(WarmupSlots)
@@ -130,7 +126,7 @@ func New(name string) (*network.Network, error) {
 // the same zero-allocation gate as the bare one — verification reuses
 // persistent scratch instead of taxing the slot loop.
 func NewInstrumented(name string) (*network.Network, error) {
-	cfg, err := config(name, 0)
+	cfg, err := config(name)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +137,7 @@ func NewInstrumented(name string) (*network.Network, error) {
 	net.AttachWireCheck()
 	net.AttachDataCheck()
 	net.AttachInvariantChecker()
-	if err := backlog(net, 2, instrumentedBacklogSlots); err != nil {
+	if err := backlog(net, instrumentedBacklogSlots); err != nil {
 		return nil, err
 	}
 	net.RunSlots(WarmupSlots)
@@ -152,35 +148,6 @@ func NewInstrumented(name string) (*network.Network, error) {
 		return nil, fmt.Errorf("slotbench: %s instrumented warmup hit %d invariant violations", name, v)
 	}
 	return net, nil
-}
-
-// NewBatch builds k warmed-up replicas of the named protocol as one batched
-// engine. Replica j runs under seed j with the backlog's far destination
-// rotated by the seed — same topology, different load, exactly the
-// replica-sweep shape the batched engine amortizes.
-func NewBatch(name string, k int) (*network.Batch, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("slotbench: batch of %d replicas", k)
-	}
-	cfgs := make([]network.Config, k)
-	for j := 0; j < k; j++ {
-		cfg, err := config(name, uint64(j))
-		if err != nil {
-			return nil, err
-		}
-		cfgs[j] = cfg
-	}
-	b, err := network.NewBatch(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < k; j++ {
-		if err := backlog(b.Net(j), uint64(j), backlogSlots); err != nil {
-			return nil, err
-		}
-	}
-	b.RunSlots(WarmupSlots)
-	return b, nil
 }
 
 // Stats is the measured steady-state cost of one protocol's slot engine.
@@ -194,7 +161,6 @@ type Stats struct {
 	Protocol       string  `json:"protocol"`
 	RequestedSlots int64   `json:"requested_slots"`
 	Slots          int64   `json:"slots"`
-	Replicas       int     `json:"replicas,omitempty"`
 	NsPerSlot      float64 `json:"ns_per_slot"`
 	AllocsPerSlot  float64 `json:"allocs_per_slot"`
 	BytesPerSlot   float64 `json:"bytes_per_slot"`
@@ -225,44 +191,6 @@ func Measure(name string, slots int64) (Stats, error) {
 		Protocol:       name,
 		RequestedSlots: slots,
 		Slots:          executed,
-		NsPerSlot:      float64(elapsed.Nanoseconds()) / float64(executed),
-		AllocsPerSlot:  float64(m1.Mallocs-m0.Mallocs) / float64(executed),
-		BytesPerSlot:   float64(m1.TotalAlloc-m0.TotalAlloc) / float64(executed),
-	}, nil
-}
-
-// MeasureBatch runs k batched replicas of the named protocol for at least
-// the given number of slot periods each and returns the *effective* per-slot
-// cost: elapsed wall time and allocation deltas divided by the total slot
-// count executed across all replicas. Run it serially, like Measure.
-func MeasureBatch(name string, k int, slots int64) (Stats, error) {
-	b, err := NewBatch(name, k)
-	if err != nil {
-		return Stats{}, err
-	}
-	before := int64(0)
-	for j := 0; j < b.Len(); j++ {
-		before += b.Net(j).Metrics().Slots.Value()
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	b.RunSlots(slots)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	executed := -before
-	for j := 0; j < b.Len(); j++ {
-		executed += b.Net(j).Metrics().Slots.Value()
-	}
-	if executed <= 0 {
-		return Stats{}, fmt.Errorf("slotbench: batched %s executed no slots", name)
-	}
-	return Stats{
-		Protocol:       name,
-		RequestedSlots: slots,
-		Slots:          executed,
-		Replicas:       k,
 		NsPerSlot:      float64(elapsed.Nanoseconds()) / float64(executed),
 		AllocsPerSlot:  float64(m1.Mallocs-m0.Mallocs) / float64(executed),
 		BytesPerSlot:   float64(m1.TotalAlloc-m0.TotalAlloc) / float64(executed),

@@ -42,41 +42,19 @@ func TestMeasureReportsSaneFigures(t *testing.T) {
 	}
 }
 
-func TestMeasureBatchReportsSaneFigures(t *testing.T) {
-	const replicas, slots = 4, 64
-	st, err := MeasureBatch("ccr-edf", replicas, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Replicas != replicas {
-		t.Fatalf("replicas = %d, want %d", st.Replicas, replicas)
-	}
-	if st.RequestedSlots != slots {
-		t.Fatalf("requested_slots = %d, want %d", st.RequestedSlots, slots)
-	}
-	if st.Slots < replicas*slots {
-		t.Fatalf("measured %d slots across %d replicas, want ≥ %d", st.Slots, replicas, replicas*slots)
-	}
-	if st.NsPerSlot <= 0 {
-		t.Fatalf("ns/slot = %v", st.NsPerSlot)
-	}
-}
-
-func TestBatchWorkloadNeverCompletes(t *testing.T) {
-	b, err := NewBatch("ccr-edf", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < b.Len(); j++ {
-		m := b.Net(j).Metrics()
-		if m.Slots.Value() < WarmupSlots {
-			t.Fatalf("replica %d warmup ran %d slots, want ≥ %d", j, m.Slots.Value(), WarmupSlots)
+// Measure records the slot budget it was asked for next to the slots it
+// actually timed, which may run past the budget but never fall short of it.
+func TestMeasureRecordsRequestedSlots(t *testing.T) {
+	for _, slots := range []int64{64, 100} {
+		st, err := Measure("ccr-edf", slots)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.SlotsWithData.Value() == 0 {
-			t.Fatalf("replica %d: no slot carried data", j)
+		if st.RequestedSlots != slots {
+			t.Fatalf("requested_slots = %d, want %d", st.RequestedSlots, slots)
 		}
-		if m.MessagesDelivered.Value() != 0 {
-			t.Fatalf("replica %d: backlog message completed", j)
+		if st.Slots < slots {
+			t.Fatalf("measured %d slots, want ≥ %d", st.Slots, slots)
 		}
 	}
 }

@@ -291,8 +291,7 @@ func attachChurn(net *network.Network, pt Point) error {
 }
 
 // collect reads one finished single-ring simulation's headline metrics into
-// the outcome. Shared between the sequential and the batched paths so the
-// two emit identical numbers by construction.
+// the outcome.
 func collect(net *network.Network, out *Outcome) {
 	m := net.Metrics()
 	out.Delivered = m.MessagesDelivered.Value()

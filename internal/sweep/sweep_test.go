@@ -74,6 +74,25 @@ func TestRunUnknownProtocol(t *testing.T) {
 	}
 }
 
+// A bad point reports its error on exactly that point and leaves its grid
+// neighbours intact.
+func TestRunIsolatesBadPoint(t *testing.T) {
+	outs := Run([]Point{
+		{Protocol: "ccr-edf", Nodes: 8, Load: 0.4, Locality: "uniform", Seed: 1},
+		{Protocol: "atm", Nodes: 8, Load: 0.5, Locality: "uniform", Seed: 1},
+		{Protocol: "ccr-edf", Nodes: 8, Load: 0.4, Locality: "uniform", Seed: 2, FaultSpec: "bogus-spec"},
+	}, 1, 300)
+	if outs[0].Err != nil || outs[0].Delivered == 0 {
+		t.Fatalf("healthy neighbour failed: err %v, delivered %d", outs[0].Err, outs[0].Delivered)
+	}
+	if outs[1].Err == nil {
+		t.Fatal("unknown protocol should error")
+	}
+	if outs[2].Err == nil {
+		t.Fatal("bad fault spec should error")
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	outs := Run(smallGrid()[:2], 2, 200)
 	var buf bytes.Buffer
@@ -166,29 +185,6 @@ func TestChurnPoint(t *testing.T) {
 	}
 }
 
-// TestChurnPointBatchedMatches: churn points form singleton batch groups, so
-// RunBatched must reproduce Run exactly even when mixed with batchable points.
-func TestChurnPointBatchedMatches(t *testing.T) {
-	pts := smallGrid()[:2]
-	pts = append(pts, Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 3,
-		ChurnSpec: "rate=100000,hold=1000"})
-	want := Run(pts, 1, 2000)
-	got := RunBatched(pts, 2, DefaultBatch, 2000)
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("outcome %d diverges:\n%+v\n%+v", i, got[i], want[i])
-		}
-	}
-	groups := Batches(pts, DefaultBatch)
-	for _, g := range groups {
-		for _, i := range g {
-			if pts[i].ChurnSpec != "" && len(g) != 1 {
-				t.Fatalf("churn point %d in group of %d", i, len(g))
-			}
-		}
-	}
-}
-
 // TestModePoint: an operating-mode spec on an overloaded point (forced load
 // past the schedulable bound) drives the hysteresis controller through at
 // least one transition, deterministically.
@@ -208,27 +204,6 @@ func TestModePoint(t *testing.T) {
 	}
 	if got := pt.String(); got != "ccr-edf/N16/U1.50/uniform/s7/m[window=64,dmiss=0.01,cmiss=0.05,cool=2]" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-// TestModePointBatchedMatches: mode points form singleton batch groups.
-func TestModePointBatchedMatches(t *testing.T) {
-	pts := smallGrid()[:2]
-	pts = append(pts, Point{Protocol: "ccr-edf", Nodes: 8, Load: 0.2, Locality: "uniform", Seed: 3,
-		ModeSpec: "window=64"})
-	want := Run(pts, 1, 2000)
-	got := RunBatched(pts, 2, DefaultBatch, 2000)
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("outcome %d diverges:\n%+v\n%+v", i, got[i], want[i])
-		}
-	}
-	for _, g := range Batches(pts, DefaultBatch) {
-		for _, i := range g {
-			if pts[i].ModeSpec != "" && len(g) != 1 {
-				t.Fatalf("mode point %d in group of %d", i, len(g))
-			}
-		}
 	}
 }
 

@@ -41,14 +41,6 @@ func NewArbiter(n int, spatialReuse bool) (*Arbiter, error) {
 	return &Arbiter{ring: r, spatialReuse: spatialReuse}, nil
 }
 
-// BindScratch points the arbiter's reusable outcome scratch at caller-owned
-// backing storage (see core.Arbiter.BindScratch): a batched engine lays the
-// per-replica grant/deny scratch out contiguously. Placement only — both
-// slices are rebuilt from length zero every round.
-func (a *Arbiter) BindScratch(grants []core.Grant, denied []int) {
-	a.grants, a.denied = grants[:0], denied[:0]
-}
-
 // Name implements core.Protocol.
 func (a *Arbiter) Name() string {
 	if a.spatialReuse {

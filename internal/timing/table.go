@@ -7,9 +7,7 @@ package timing
 // arithmetic (not the protocol!) the single largest cost in the steady-state
 // profile — ~30% of slot time, dominated by the O(N²) per-slot propagation
 // recomputation in the collection schedule. A Table folds all of it into flat
-// lookups computed once at network construction. Replicas of the same
-// physical shape can share one Table (see network.NewBatch), so in a batched
-// run even the construction cost amortizes across replicas.
+// lookups computed once at network construction.
 //
 // A Table never changes an observable result: every field and method returns
 // exactly what the corresponding Params accessor returns for the same

@@ -141,7 +141,7 @@ func (n *Network) OpenRadarPipeline(rp RadarPipeline) ([]Connection, error) {
 }
 
 // ChurnSpec configures a Poisson connection arrival/departure workload with
-// a mixed-criticality admission policy (internal/churn, DESIGN.md §15).
+// a mixed-criticality admission policy (internal/churn, DESIGN.md §14).
 type ChurnSpec = churn.Spec
 
 // ChurnStats counts a churn generator's activity.
@@ -159,7 +159,7 @@ func (n *Network) AttachChurn(spec ChurnSpec) (*ChurnStats, error) {
 
 // ModeSpec configures the graceful-degradation operating-mode protocol: a
 // hysteresis state machine over per-window deadline-miss ratio and backlog
-// (internal/mode, DESIGN.md §16). Set it on Config.Mode / MultiConfig.Mode.
+// (internal/mode, DESIGN.md §15). Set it on Config.Mode / MultiConfig.Mode.
 type ModeSpec = mode.Spec
 
 // OperatingMode is the system operating mode (Normal, Degraded, Critical).

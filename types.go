@@ -38,7 +38,7 @@ const (
 // Connection describes a logical real-time connection (Section 6).
 type Connection = sched.Connection
 
-// Criticality is a connection's mixed-criticality level (DESIGN.md §15).
+// Criticality is a connection's mixed-criticality level (DESIGN.md §14).
 type Criticality = sched.Criticality
 
 // Criticality levels, most important first. The zero value is CritHard, so
