@@ -51,12 +51,12 @@ EOF
 sed 's/"horizon_slots": 5000/"horizon_slots": 3000000/; s/"seed": 7/"seed": 8/' \
   "$TMP/fast.json" > "$TMP/long.json"
 
-# 1. Fast job to completion; keep its result bytes.
+# 1. Fast job to completion; keep its result bytes. Status requests
+# long-poll (?wait=) and answer as soon as the job ends.
 FAST_ID=$(curl -fs -XPOST --data-binary @"$TMP/fast.json" "$BASE/v1/jobs" | jq -r .id)
-for _ in $(seq 1 100); do
-  STATE=$(curl -fs "$BASE/v1/jobs/$FAST_ID" | jq -r .state)
+for _ in $(seq 1 10); do
+  STATE=$(curl -fs "$BASE/v1/jobs/$FAST_ID?wait=2s" | jq -r .state)
   [ "$STATE" = done ] && break
-  sleep 0.2
 done
 [ "$STATE" = done ] || { echo "crash-smoke: fast job stuck in $STATE" >&2; exit 1; }
 curl -fs "$BASE/v1/jobs/$FAST_ID/result" > "$TMP/before.json"
@@ -78,15 +78,14 @@ start_daemon
 
 # The incomplete job must re-run to completion under its original id.
 STATE=queued
-for _ in $(seq 1 300); do
-  STATE=$(curl -fs "$BASE/v1/jobs/$LONG_ID" | jq -r .state)
+for _ in $(seq 1 30); do
+  STATE=$(curl -fs "$BASE/v1/jobs/$LONG_ID?wait=2s" | jq -r .state)
   [ "$STATE" = done ] && break
   if [ "$STATE" = failed ] || [ "$STATE" = cancelled ] || [ "$STATE" = null ]; then
     echo "crash-smoke: recovered job $LONG_ID ended $STATE" >&2
     curl -fs "$BASE/v1/jobs/$LONG_ID" >&2 || true
     exit 1
   fi
-  sleep 0.2
 done
 [ "$STATE" = done ] || { echo "crash-smoke: recovered job stuck in $STATE" >&2; exit 1; }
 

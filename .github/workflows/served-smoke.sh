@@ -37,18 +37,18 @@ cat > "$TMP/scenario.json" <<'EOF'
 }
 EOF
 
-# Submit and poll to completion.
+# Submit and wait for completion: each status request long-polls (?wait=)
+# and answers as soon as the job ends; 10 of them bound the wait at 20s.
 ID=$(curl -fs -XPOST --data-binary @"$TMP/scenario.json" "$BASE/v1/jobs" | jq -r .id)
 STATE=queued
-for _ in $(seq 1 100); do
-  STATE=$(curl -fs "$BASE/v1/jobs/$ID" | jq -r .state)
+for _ in $(seq 1 10); do
+  STATE=$(curl -fs "$BASE/v1/jobs/$ID?wait=2s" | jq -r .state)
   [ "$STATE" = done ] && break
   if [ "$STATE" = failed ] || [ "$STATE" = cancelled ]; then
     echo "smoke: job $ID ended $STATE" >&2
     curl -fs "$BASE/v1/jobs/$ID" >&2
     exit 1
   fi
-  sleep 0.2
 done
 [ "$STATE" = done ] || { echo "smoke: job $ID stuck in $STATE" >&2; exit 1; }
 curl -fs "$BASE/v1/jobs/$ID/result" > "$TMP/first.json"

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccredf/internal/serve"
+	"ccredf/internal/serve/client"
 )
 
 // Options configures one cluster peer.
@@ -67,10 +68,14 @@ type Node struct {
 
 	// peerClient handles unary peer calls (forwards, steals, results);
 	// gossipClient times out fast so a hung peer cannot stall a heartbeat;
-	// streamClient has no timeout, for proxied SSE event streams.
+	// streamClient has no timeout of its own, for proxied SSE event streams
+	// and status long-polls (bounded by their request context instead).
 	peerClient   *http.Client
 	gossipClient *http.Client
 	streamClient *http.Client
+
+	// scatter holds one jobs-API client per remote peer for sweep points.
+	scatter map[string]*client.Client
 
 	seq atomic.Uint64
 
@@ -171,6 +176,7 @@ func New(opts Options) (*Node, error) {
 	// Seed our own digest so the first forwarded request does not see self
 	// as dead before the first gossip tick.
 	n.members.updateSelf(n.selfDigest())
+	n.scatter = n.scatterClients()
 	n.srv.SetSweepScatter(n.ScatterSweep)
 	return n, nil
 }

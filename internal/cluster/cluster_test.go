@@ -53,8 +53,9 @@ func (p *testPeer) kill() {
 }
 
 // newTestCluster boots n federated peers on loopback listeners. Gossip runs
-// every 40ms with a 200ms dead window so tests converge fast.
-func newTestCluster(t *testing.T, n int, serveOpts func(i int) serve.Options, steal bool) []*testPeer {
+// every 40ms with a 200ms dead window so tests converge fast. Each tune
+// function may adjust every peer's options before the node is built.
+func newTestCluster(t *testing.T, n int, serveOpts func(i int) serve.Options, steal bool, tune ...func(*Options)) []*testPeer {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -74,7 +75,7 @@ func newTestCluster(t *testing.T, n int, serveOpts func(i int) serve.Options, st
 		}
 		so.IDPrefix = IDPrefix(urls[i])
 		srv := serve.New(so)
-		node, err := New(Options{
+		opts := Options{
 			Self:           urls[i],
 			Peers:          urls,
 			Server:         srv,
@@ -83,7 +84,11 @@ func newTestCluster(t *testing.T, n int, serveOpts func(i int) serve.Options, st
 			StealInterval:  40 * time.Millisecond,
 			StealLease:     2 * time.Second,
 			Steal:          steal,
-		})
+		}
+		for _, f := range tune {
+			f(&opts)
+		}
+		node, err := New(opts)
 		if err != nil {
 			t.Fatalf("cluster.New(%d): %v", i, err)
 		}

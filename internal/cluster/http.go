@@ -52,7 +52,10 @@ type Topology struct {
 // Handler wraps the serve API with the cluster plane:
 //
 //	POST /v1/jobs, /v1/sweeps    consistent-hash forwarded to the key's owner
-//	GET/DELETE /v1/jobs/{id}...  proxied to the peer a forwarded job lives on
+//	GET/DELETE /v1/jobs/{id}...  proxied to the peer a forwarded job lives on;
+//	                             a status long-poll (?wait=) gets the clamped
+//	                             wait on top of ForwardTimeout, so it is
+//	                             never cut into a 502
 //	GET  /cluster                topology: peers, states, backlogs
 //	POST /cluster/gossip         push-pull digest exchange (peer-to-peer)
 //	POST /cluster/steal          hand one queued job to an idle peer
@@ -203,15 +206,24 @@ func (n *Node) jobHandler(inner http.Handler) http.HandlerFunc {
 
 // proxyJob relays one job-record request (status, result, events, cancel)
 // to the peer that owns the record. Event streams are copied flush-by-flush
-// with an untimed client so SSE keeps flowing.
+// with an untimed client so SSE keeps flowing. A status long-poll may
+// rightly sit at the owner for its clamped wait, so its deadline is that
+// wait plus ForwardTimeout.
 func (n *Node) proxyJob(w http.ResponseWriter, r *http.Request, owner string) {
 	n.proxies.Add(1)
 	hc, ctx := n.peerClient, r.Context()
 	if strings.HasSuffix(r.URL.Path, "/events") {
 		hc = n.streamClient // SSE: no per-request deadline
 	} else {
+		budget := n.opts.ForwardTimeout
+		if r.Method == http.MethodGet && !strings.HasSuffix(r.URL.Path, "/result") {
+			if wait, err := serve.StatusWait(r); err == nil && wait > 0 {
+				hc = n.streamClient // bounded by budget alone, not peerClient's timeout
+				budget += wait
+			}
+		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.opts.ForwardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, r.Method, owner+r.URL.RequestURI(), nil)

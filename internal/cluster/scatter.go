@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"time"
 
 	"ccredf/internal/runner"
@@ -109,15 +110,50 @@ func (n *Node) runPoint(ctx context.Context, spec *serve.SweepSpec, pt sweep.Poi
 	return out, nil
 }
 
+// scatterClients builds one jobs-API client per remote peer for scattered
+// points. They share the peer client's transport, so connections are
+// reused across points, and every request is marked forwarded: the owner
+// runs the point itself even if its health view names another owner
+// (the one-hop rule), and answers the long-poll for its own job record.
+func (n *Node) scatterClients() map[string]*client.Client {
+	next := n.peerClient.Transport
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	hc := &http.Client{Timeout: n.peerClient.Timeout, Transport: markForwarded{from: n.self, next: next}}
+	clients := make(map[string]*client.Client)
+	for _, p := range n.ring.Peers() {
+		if p != n.self {
+			clients[p] = client.New(p, client.Options{
+				HTTPClient:  hc,
+				MaxAttempts: 2, // failover beats retrying a struggling owner
+				BaseBackoff: 100 * time.Millisecond,
+				MaxBackoff:  time.Second,
+			})
+		}
+	}
+	return clients
+}
+
+// markForwarded stamps the one-hop marker on every request it carries.
+type markForwarded struct {
+	from string
+	next http.RoundTripper
+}
+
+func (m markForwarded) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context()) // a RoundTripper must not modify its request
+	r.Header.Set(ForwardedHeader, m.from)
+	return m.next.RoundTrip(r)
+}
+
 // runPointRemote runs one sub-sweep on a remote owner over the ordinary
 // jobs API and decodes the single point out of the result.
 func (n *Node) runPointRemote(ctx context.Context, owner string, sub *serve.SweepSpec, subKey string) (serve.SweepOutcome, error) {
-	c := client.New(owner, client.Options{
-		MaxAttempts:  2, // failover beats retrying a struggling owner
-		BaseBackoff:  100 * time.Millisecond,
-		MaxBackoff:   time.Second,
-		PollInterval: 50 * time.Millisecond,
-	})
+	c, ok := n.scatter[owner]
+	if !ok {
+		return serve.SweepOutcome{}, fmt.Errorf("cluster: scatter owner %s is not a peer", owner)
+	}
 	_, body, err := c.RunSweep(ctx, sub, 0)
 	if err != nil {
 		return serve.SweepOutcome{}, err

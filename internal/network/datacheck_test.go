@@ -118,3 +118,16 @@ func TestLossAndCorruptionCompose(t *testing.T) {
 		t.Fatal("retransmit accounting wrong")
 	}
 }
+
+// TestSubmitMessageRejectsUnframeableSize: the data packet counts fragments
+// in 16 bits, so a longer message is refused at submission instead of being
+// framed with a truncated count.
+func TestSubmitMessageRejectsUnframeableSize(t *testing.T) {
+	net := newDataNet(t, nil)
+	if _, err := net.SubmitMessage(sched.ClassBestEffort, 0, ring.Node(1), sched.MaxMessageSlots, 0); err != nil {
+		t.Fatalf("message at the limit rejected: %v", err)
+	}
+	if _, err := net.SubmitMessage(sched.ClassBestEffort, 0, ring.Node(1), sched.MaxMessageSlots+1, 0); err == nil {
+		t.Fatal("message of MaxMessageSlots+1 slots accepted")
+	}
+}

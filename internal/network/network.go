@@ -610,7 +610,8 @@ func (n *Network) OnDeliver(fn func(*sched.Message, timing.Time)) {
 // SubmitMessage enqueues a message at node src for the given destinations,
 // occupying slots network slots, with the given relative network-level
 // deadline (ignored — treated as no deadline — for non-real-time traffic).
-// It returns the queued message.
+// slots must lie in [1, sched.MaxMessageSlots]. It returns the queued
+// message.
 func (n *Network) SubmitMessage(class sched.Class, src int, dests ring.NodeSet, slots int, relDeadline timing.Time) (*sched.Message, error) {
 	if !n.r.Valid(src) {
 		return nil, fmt.Errorf("network: source %d outside ring", src)
@@ -626,8 +627,8 @@ func (n *Network) SubmitMessage(class sched.Class, src int, dests ring.NodeSet, 
 			return nil, fmt.Errorf("network: destination %d outside ring", d)
 		}
 	}
-	if slots < 1 {
-		return nil, fmt.Errorf("network: message of %d slots", slots)
+	if slots < 1 || slots > sched.MaxMessageSlots {
+		return nil, fmt.Errorf("network: message of %d slots outside [1,%d]", slots, sched.MaxMessageSlots)
 	}
 	deadline := timing.Forever
 	if class != sched.ClassNonRealTime && relDeadline > 0 && relDeadline != timing.Forever {

@@ -250,7 +250,7 @@ func (d *dataChecker) OnEvent(e *obs.Event) {
 		Dests:    g.Dests,
 		MsgID:    uint32(m.ID),
 		Fragment: uint16(m.Sent - 1),
-		Total:    uint16(m.Slots),
+		Total:    uint16(m.Slots), // exact: sched.MaxMessageSlots bounds every message
 		Payload:  d.scratch,
 	}
 	if err := wire.EncodeDataInto(&d.enc, pkt, d.nodes); err != nil {

@@ -82,8 +82,8 @@ func (c Connection) Validate(n int, slot timing.Time) error {
 		return fmt.Errorf("sched: connection from %d lists itself as destination", c.Src)
 	case c.Period <= 0:
 		return fmt.Errorf("sched: non-positive period %v", c.Period)
-	case c.Slots < 1:
-		return fmt.Errorf("sched: message size %d slots", c.Slots)
+	case c.Slots < 1 || c.Slots > MaxMessageSlots:
+		return fmt.Errorf("sched: message size %d slots outside [1,%d]", c.Slots, MaxMessageSlots)
 	case c.Deadline < 0:
 		return fmt.Errorf("sched: negative relative deadline %v", c.Deadline)
 	case c.Deadline > c.Period:

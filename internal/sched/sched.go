@@ -5,6 +5,8 @@
 package sched
 
 import (
+	"math"
+
 	"ccredf/internal/ring"
 	"ccredf/internal/timing"
 )
@@ -173,6 +175,11 @@ type Message struct {
 	span int
 	spos int
 }
+
+// MaxMessageSlots is the largest message size, in slots, the network
+// carries: the data packet counts a message's fragments in 16 bits
+// (wire.DataPacket.Total), so a longer message could not be framed.
+const MaxMessageSlots = math.MaxUint16
 
 // Remaining returns the number of fragments still to transmit.
 func (m *Message) Remaining() int { return m.Slots - m.Sent }

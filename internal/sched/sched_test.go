@@ -268,6 +268,7 @@ func TestConnectionValidate(t *testing.T) {
 		{Src: 0, Dests: ring.Node(3), Period: 100 * slotT, Slots: 0},
 		{Src: 0, Dests: ring.Node(3), Period: slotT, Slots: 2}, // doesn't fit
 		{Src: 0, Dests: ring.Node(60), Period: 100 * slotT, Slots: 2},
+		{Src: 0, Dests: ring.Node(3), Period: 1 << 17 * slotT, Slots: MaxMessageSlots + 1}, // unframeable
 	}
 	for i, c := range bad {
 		if err := c.Validate(8, slotT); err == nil {

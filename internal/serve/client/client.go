@@ -47,7 +47,10 @@ type Options struct {
 	// jittered uniformly over [d/2, d] to decorrelate a client fleet.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// PollInterval paces Await's status polling (default 200ms).
+	// PollInterval is the minimum spacing between Await's status requests
+	// (default 200ms). Each request long-polls, so against a ccr-served
+	// daemon Await sees completion when it happens; the floor only paces a
+	// server that ignores ?wait= and answers at once.
 	PollInterval time.Duration
 
 	// Test seams: sleep must honour ctx; randFloat feeds the jitter.
@@ -345,7 +348,17 @@ func (c *Client) SubmitSweep(ctx context.Context, spec *serve.SweepSpec, timeout
 
 // Status fetches a job's current state.
 func (c *Client) Status(ctx context.Context, id string) (serve.JobStatus, error) {
-	res, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, "")
+	return c.status(ctx, id, 0)
+}
+
+// status fetches a job's state; with wait > 0 the server holds the answer
+// until the job ends or wait runs out (GET ?wait=).
+func (c *Client) status(ctx context.Context, id string, wait time.Duration) (serve.JobStatus, error) {
+	path := "/v1/jobs/" + url.PathEscape(id)
+	if wait > 0 {
+		path += "?wait=" + wait.String()
+	}
+	res, err := c.do(ctx, http.MethodGet, path, nil, "")
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
@@ -396,18 +409,33 @@ func (c *Client) Ready(ctx context.Context) error {
 	return nil
 }
 
-// Await polls a job until it reaches a terminal state.
+// awaitWait is how long each of Await's status requests asks the server to
+// hold a non-terminal answer. The server answers as soon as the job ends,
+// so this bounds only how long one request sits idle, well inside common
+// client and proxy timeouts.
+const awaitWait = time.Second
+
+// Await blocks until a job reaches a terminal state. Each status request
+// long-polls, so completion is seen within a scheduler tick of the job
+// ending; requests are spaced at least PollInterval apart.
 func (c *Client) Await(ctx context.Context, id string) (serve.JobStatus, error) {
+	wait := awaitWait
+	if t := c.opts.HTTPClient.Timeout; t > 0 && wait > t/2 {
+		wait = t / 2 // a long-poll must end well before the transport gives up
+	}
 	for {
-		st, err := c.Status(ctx, id)
+		sent := time.Now()
+		st, err := c.status(ctx, id, wait)
 		if err != nil {
 			return serve.JobStatus{}, err
 		}
 		if st.State.Terminal() {
 			return st, nil
 		}
-		if err := c.opts.sleep(ctx, c.opts.PollInterval); err != nil {
-			return serve.JobStatus{}, err
+		if rest := c.opts.PollInterval - time.Since(sent); rest > 0 {
+			if err := c.opts.sleep(ctx, rest); err != nil {
+				return serve.JobStatus{}, err
+			}
 		}
 	}
 }

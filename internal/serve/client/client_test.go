@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -314,5 +315,90 @@ func TestRunScenarioFailedJob(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("expected 400 APIError, got %v", err)
+	}
+}
+
+// TestAwaitLongPolls: against a real server, Await learns that a job which
+// runs about 300 ms has ended from one or two status requests, however
+// short PollInterval is.
+func TestAwaitLongPolls(t *testing.T) {
+	srv := serve.New(serve.Options{Workers: 1, ChunkSlots: 64, BreakerThreshold: -1})
+	var polls atomic.Int64
+	var waits []string
+	var mu sync.Mutex
+	inner := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Count(r.URL.Path, "/") == 3 {
+			polls.Add(1)
+			mu.Lock()
+			waits = append(waits, r.URL.Query().Get("wait"))
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	c := New(ts.URL, Options{PollInterval: time.Millisecond})
+	ctx := context.Background()
+
+	// An unbounded run cut by its own timeout: it ends, failed, after ~300 ms.
+	long := []byte(strings.Replace(string(testScenario(9)), `"horizon_slots": 5000`, `"horizon_slots": 500000000`, 1))
+	st, err := c.SubmitScenario(ctx, long, 300*time.Millisecond)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st, err = c.Await(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("Await: %v", err)
+	}
+	if st.State != serve.StateFailed {
+		t.Fatalf("job ended %s (%s), want failed by its timeout", st.State, st.Error)
+	}
+	if n := polls.Load(); n < 1 || n > 2 {
+		t.Fatalf("Await issued %d status requests for a ~300 ms job, want 1 or 2", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, w := range waits {
+		if w != awaitWait.String() {
+			t.Fatalf("status request carried wait=%q, want %q", w, awaitWait)
+		}
+	}
+}
+
+// TestAwaitPacesServerIgnoringWait: a server that ignores ?wait= and
+// answers "running" at once is polled no faster than PollInterval.
+func TestAwaitPacesServerIgnoringWait(t *testing.T) {
+	const running = 4
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		state := serve.StateRunning
+		if calls.Add(1) > running {
+			state = serve.StateDone
+		}
+		w.Write(jobStatusJSON(t, serve.JobStatus{ID: "j1", State: state}))
+	}))
+	defer ts.Close()
+
+	const poll = 300 * time.Millisecond
+	opts := Options{PollInterval: poll}
+	sleeps := recordedSleeps(&opts)
+	st, err := New(ts.URL, opts).Await(context.Background(), "j1")
+	if err != nil || st.State != serve.StateDone {
+		t.Fatalf("Await: %+v, %v", st, err)
+	}
+	if got := calls.Load(); got != running+1 {
+		t.Fatalf("%d status requests, want %d", got, running+1)
+	}
+	if len(*sleeps) != running {
+		t.Fatalf("sleeps %v, want one per non-terminal answer (%d)", *sleeps, running)
+	}
+	for _, d := range *sleeps {
+		// Each sleep is the rest of the interval after an instant answer.
+		if d <= poll-200*time.Millisecond || d > poll {
+			t.Fatalf("sleep %v, want just under PollInterval %v", d, poll)
+		}
 	}
 }

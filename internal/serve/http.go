@@ -63,7 +63,9 @@ func (s *Server) status(j *Job) JobStatus {
 //
 //	POST   /v1/jobs             submit a scenario (JSON body, ?timeout=30s)
 //	GET    /v1/jobs             list retained jobs
-//	GET    /v1/jobs/{id}        job status
+//	GET    /v1/jobs/{id}        job status (?wait=2s long-polls: answers
+//	                            when the job ends, the wait runs out —
+//	                            clamped to 10s — or the client leaves)
 //	GET    /v1/jobs/{id}/result result bytes (deterministic JSON)
 //	GET    /v1/jobs/{id}/events live protocol events (JSONL, or SSE when
 //	                            Accept: text/event-stream)
@@ -123,6 +125,27 @@ func parseTimeout(r *http.Request) (time.Duration, error) {
 		return 0, fmt.Errorf("timeout %q must be positive", raw)
 	}
 	return d, nil
+}
+
+// maxStatusWait clamps a status long-poll: each pending one holds a
+// connection and a handler goroutine, so no request may hold them longer.
+const maxStatusWait = 10 * time.Second
+
+// StatusWait reads the optional ?wait= duration of a status request,
+// clamped to the server's longest long-poll. Zero means answer at once.
+func StatusWait(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("wait")
+	if raw == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, fmt.Errorf("wait %q: %w", raw, err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("wait %q must not be negative", raw)
+	}
+	return min(d, maxStatusWait), nil
 }
 
 // submitCode maps submission results to HTTP: 200 for a cache hit already
@@ -305,11 +328,29 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
+// handleStatus answers a job's status. With ?wait= it long-polls: the
+// answer is held until the job ends, the wait runs out, the client leaves
+// or the server closes, so a waiter learns of completion when it happens.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	wait, err := StatusWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.Done():
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.baseCtx.Done():
+		}
+		t.Stop()
 	}
 	writeJSON(w, http.StatusOK, s.status(j))
 }

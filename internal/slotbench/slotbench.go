@@ -35,12 +35,14 @@ const (
 	// network over: enough to grow every pooled structure (event free list,
 	// delivery pool, arbiter scratch) to its steady-state size.
 	WarmupSlots = 256
-	// backlogSlots is a message size no bench horizon ever finishes.
-	backlogSlots = 1 << 30
+	// backlogSlots is the largest message the network accepts. A node
+	// sends at most one fragment per slot, so its two backlog messages
+	// outlast 2×65535 slots: longer than every gate and bench horizon
+	// (CI benchmarks run -benchtime 1000x; ccr-bench times 4096 slots).
+	backlogSlots = sched.MaxMessageSlots
 	// instrumentedBacklogSlots is the backlog size for the instrumented
-	// engine: the data-channel verifier serialises every fragment, and the
-	// wire format carries fragment indices and counts as uint16, so message
-	// sizes must stay below 1<<16 for the packets to be well-formed. 60000
+	// engine, under the sched.MaxMessageSlots limit that SubmitMessage
+	// enforces (the data packet counts fragments in 16 bits). 60000
 	// fragments still outlast every gate and bench horizon.
 	instrumentedBacklogSlots = 60000
 )

@@ -281,6 +281,9 @@ func (s *Scenario) Validate() error {
 		if c.Slots <= 0 {
 			return fmt.Errorf("scenario: connections[%d].slots %d not positive", i, c.Slots)
 		}
+		if err := checkMessageSlots(c.Slots); err != nil {
+			return fmt.Errorf("scenario: connections[%d].slots %w", i, err)
+		}
 		if c.DeadlineSlots < 0 {
 			return fmt.Errorf("scenario: connections[%d].deadline_slots %d negative", i, c.DeadlineSlots)
 		}
@@ -295,8 +298,14 @@ func (s *Scenario) Validate() error {
 		if p.Slots <= 0 {
 			return fmt.Errorf("scenario: poisson[%d].slots %d not positive", i, p.Slots)
 		}
+		if err := checkMessageSlots(p.Slots); err != nil {
+			return fmt.Errorf("scenario: poisson[%d].slots %w", i, err)
+		}
 		if p.MaxSlots < 0 {
 			return fmt.Errorf("scenario: poisson[%d].max_slots %d negative", i, p.MaxSlots)
+		}
+		if err := checkMessageSlots(p.MaxSlots); err != nil {
+			return fmt.Errorf("scenario: poisson[%d].max_slots %w", i, err)
 		}
 		if p.RelDeadlineSlots < 0 {
 			return fmt.Errorf("scenario: poisson[%d].rel_deadline_slots %d negative", i, p.RelDeadlineSlots)
@@ -326,6 +335,9 @@ func (s *Scenario) Validate() error {
 		if b.Slots <= 0 {
 			return fmt.Errorf("scenario: bursty[%d].slots %d not positive", i, b.Slots)
 		}
+		if err := checkMessageSlots(b.Slots); err != nil {
+			return fmt.Errorf("scenario: bursty[%d].slots %w", i, err)
+		}
 		if b.RelDeadlineSlots < 0 {
 			return fmt.Errorf("scenario: bursty[%d].rel_deadline_slots %d negative", i, b.RelDeadlineSlots)
 		}
@@ -353,6 +365,9 @@ func (s *Scenario) Validate() error {
 			if g <= 0 {
 				return fmt.Errorf("scenario: video[%d].gop[%d] %d not positive", i, j, g)
 			}
+			if err := checkMessageSlots(g); err != nil {
+				return fmt.Errorf("scenario: video[%d].gop[%d] %w", i, j, err)
+			}
 		}
 	}
 	return nil
@@ -371,6 +386,15 @@ func (s *Scenario) ring0() int {
 func (s *Scenario) checkNode(n int) error {
 	if n0 := s.ring0(); n < 0 || n >= n0 {
 		return fmt.Errorf("node %d outside ring [0,%d)", n, n0)
+	}
+	return nil
+}
+
+// checkMessageSlots verifies a message size against the largest message the
+// network carries (its data packet counts fragments in 16 bits).
+func checkMessageSlots(slots int) error {
+	if slots > ccredf.MaxMessageSlots {
+		return fmt.Errorf("%d above the %d-slot message limit", slots, ccredf.MaxMessageSlots)
 	}
 	return nil
 }
@@ -412,6 +436,9 @@ func (s *Scenario) validateMulti() error {
 		}
 		if c.Slots <= 0 {
 			return fmt.Errorf("scenario: cross_connections[%d].slots %d not positive", i, c.Slots)
+		}
+		if err := checkMessageSlots(c.Slots); err != nil {
+			return fmt.Errorf("scenario: cross_connections[%d].slots %w", i, err)
 		}
 		if c.DeadlineSlots < 0 {
 			return fmt.Errorf("scenario: cross_connections[%d].deadline_slots %d negative", i, c.DeadlineSlots)

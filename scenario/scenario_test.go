@@ -201,3 +201,37 @@ func TestDeterministicBuilds(t *testing.T) {
 	}
 	_ = ccredf.Time(0)
 }
+
+// TestValidateRejectsOversizedMessages: a message longer than the data
+// packet's 16-bit fragment count is refused up front, naming the field.
+func TestValidateRejectsOversizedMessages(t *testing.T) {
+	const big = `65536`
+	cases := []struct{ input, want string }{
+		{`{"nodes": 8, "horizon_slots": 10, "connections": [{"src":0,"dests":[1],"period_slots":70000,"slots":` + big + `}]}`,
+			"connections[0].slots 65536 above the 65535-slot message limit"},
+		{`{"nodes": 8, "horizon_slots": 10, "poisson": [{"node":0,"mean_interarrival_slots":5,"slots":` + big + `}]}`,
+			"poisson[0].slots 65536"},
+		{`{"nodes": 8, "horizon_slots": 10, "poisson": [{"node":0,"mean_interarrival_slots":5,"slots":1,"max_slots":` + big + `}]}`,
+			"poisson[0].max_slots 65536"},
+		{`{"nodes": 8, "horizon_slots": 10, "bursty": [{"node":0,"burst_interarrival_slots":1,"mean_burst_len":2,"mean_idle_slots":5,"slots":` + big + `}]}`,
+			"bursty[0].slots 65536"},
+		{`{"nodes": 8, "horizon_slots": 10, "video": [{"node":0,"dest":1,"frame_interval_slots":10,"gop":[3,` + big + `]}]}`,
+			"video[0].gop[1] 65536"},
+		{`{"topology": {"rings": [8, 8], "bridges": [{"ring_a":0,"node_a":1,"ring_b":1,"node_b":0}]}, "horizon_slots": 10, "cross_connections": [{"src_ring":0,"src":0,"dst_ring":1,"dests":[1],"period_slots":70000,"slots":` + big + `}]}`,
+			"cross_connections[0].slots 65536"},
+	}
+	for _, c := range cases {
+		_, err := Load(strings.NewReader(c.input))
+		if err == nil {
+			t.Errorf("accepted: %s", c.input)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %q does not contain %q", err, c.want)
+		}
+	}
+	ok := `{"nodes": 8, "horizon_slots": 10, "poisson": [{"node":0,"mean_interarrival_slots":5,"slots":1,"max_slots":65535}]}`
+	if _, err := Load(strings.NewReader(ok)); err != nil {
+		t.Errorf("max_slots at the limit rejected: %v", err)
+	}
+}

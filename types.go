@@ -52,6 +52,10 @@ const (
 // ParseCriticality parses "hard", "firm" or "best_effort".
 var ParseCriticality = sched.ParseCriticality
 
+// MaxMessageSlots is the largest message size, in slots: the data packet
+// counts fragments in 16 bits.
+const MaxMessageSlots = sched.MaxMessageSlots
+
 // Message is one schedulable message.
 type Message = sched.Message
 
