@@ -21,6 +21,7 @@ import (
 
 	"ccredf"
 	"ccredf/internal/analysis"
+	"ccredf/internal/network"
 	"ccredf/internal/serve"
 	"ccredf/scenario"
 )
@@ -294,21 +295,7 @@ func runMulti(res *scenario.Result, key string, nodeLat bool) {
 				c.Released, c.Delivered, c.Expired, c.Misses,
 				c.LatencyP99Us, c.LatencyMaxUs, c.BoundUs)
 		}
-		if sum.Snapshot.FaultsInjected > 0 {
-			fmt.Printf("faults              injected=%d detected=%d recovered=%d crashes=%d\n",
-				sum.Snapshot.FaultsInjected, sum.Snapshot.FaultsDetected,
-				sum.Snapshot.FaultsRecovered, sum.Snapshot.NodeCrashes)
-		}
-		if sum.Snapshot.Mode != "" {
-			fmt.Printf("operating mode      %s (transitions=%d degraded=%d critical=%d gated=%d shed_be=%d)\n",
-				sum.Snapshot.Mode, sum.Snapshot.ModeTransitions,
-				sum.Snapshot.ModeDegradedEntries, sum.Snapshot.ModeCriticalEntries,
-				sum.Snapshot.ModeGated, sum.Snapshot.ModeShedBE)
-		}
-		if sum.Snapshot.BridgeDropped+sum.Snapshot.BridgeOverflowed > 0 || sum.Snapshot.BridgeMaxQueue > 0 {
-			fmt.Printf("bridge backpressure dropped=%d overflowed=%d max_queue=%d\n",
-				sum.Snapshot.BridgeDropped, sum.Snapshot.BridgeOverflowed, sum.Snapshot.BridgeMaxQueue)
-		}
+		printCounters(&sum.Snapshot)
 	}
 	printProbe(probe)
 	missed := sum.DeadlinesMissed()
@@ -360,28 +347,8 @@ func summarise(net *ccredf.Network, key string, opened int, exact, noReuse bool,
 		fmt.Printf("fault injection     dropped=%d retransmits=%d lost=%d\n",
 			m.FragmentsDropped.Value(), m.Retransmits.Value(), m.MessagesLost.Value())
 	}
-	if m.FaultsInjected.Value() > 0 {
-		fmt.Printf("faults              injected=%d detected=%d recovered=%d crashes=%d\n",
-			m.FaultsInjected.Value(), m.FaultsDetected.Value(),
-			m.FaultsRecovered.Value(), m.NodeCrashes.Value())
-	}
-	if mc := net.ModeController(); mc != nil {
-		fmt.Printf("operating mode      %s (transitions=%d degraded=%d critical=%d gated=%d shed_be=%d)\n",
-			mc.Mode(), mc.Transitions(),
-			mc.Entries(ccredf.ModeDegraded), mc.Entries(ccredf.ModeCritical),
-			m.ModeGated.Value(), m.ModeShedBE.Value())
-	}
-	var churned int64
-	for _, l := range []ccredf.Criticality{ccredf.CritHard, ccredf.CritFirm, ccredf.CritBestEffort} {
-		churned += m.CritAdmitted[l].Value() + m.CritRejected[l].Value()
-	}
-	if churned > 0 {
-		for _, l := range []ccredf.Criticality{ccredf.CritHard, ccredf.CritFirm, ccredf.CritBestEffort} {
-			fmt.Printf("admission[%-11s] admitted=%d rejected=%d evicted=%d missed=%d\n",
-				l, m.CritAdmitted[l].Value(), m.CritRejected[l].Value(),
-				m.CritEvicted[l].Value(), m.CritMisses[l].Value())
-		}
-	}
+	snap := net.Snapshot()
+	printCounters(&snap)
 	for _, cl := range []struct {
 		name  string
 		class ccredf.Class
@@ -400,5 +367,36 @@ func summarise(net *ccredf.Network, key string, opened int, exact, noReuse bool,
 	if m.WireErrors.Value() > 0 {
 		fmt.Fprintf(os.Stderr, "ccr-sim: %d wire codec errors!\n", m.WireErrors.Value())
 		os.Exit(1)
+	}
+}
+
+// printCounters prints the fault, operating-mode, admission and bridge
+// lines of a run's counters, each only when its subsystem saw activity.
+// Single-ring and multi-ring reports share it.
+func printCounters(s *network.Snapshot) {
+	if s.FaultsInjected > 0 {
+		fmt.Printf("faults              injected=%d detected=%d recovered=%d crashes=%d\n",
+			s.FaultsInjected, s.FaultsDetected, s.FaultsRecovered, s.NodeCrashes)
+	}
+	if s.Mode != "" {
+		fmt.Printf("operating mode      %s (transitions=%d degraded=%d critical=%d gated=%d shed_be=%d)\n",
+			s.Mode, s.ModeTransitions, s.ModeDegradedEntries, s.ModeCriticalEntries, s.ModeGated, s.ModeShedBE)
+	}
+	if s.AdmittedHard+s.AdmittedFirm+s.AdmittedBE+s.RejectedHard+s.RejectedFirm+s.RejectedBE > 0 {
+		for _, l := range []struct {
+			name                                string
+			admitted, rejected, evicted, missed int64
+		}{
+			{"hard", s.AdmittedHard, s.RejectedHard, s.EvictedHard, s.MissedHard},
+			{"firm", s.AdmittedFirm, s.RejectedFirm, s.EvictedFirm, s.MissedFirm},
+			{"best_effort", s.AdmittedBE, s.RejectedBE, s.EvictedBE, s.MissedBE},
+		} {
+			fmt.Printf("admission[%-11s] admitted=%d rejected=%d evicted=%d missed=%d\n",
+				l.name, l.admitted, l.rejected, l.evicted, l.missed)
+		}
+	}
+	if s.BridgeDropped+s.BridgeOverflowed > 0 || s.BridgeMaxQueue > 0 {
+		fmt.Printf("bridge backpressure dropped=%d overflowed=%d max_queue=%d\n",
+			s.BridgeDropped, s.BridgeOverflowed, s.BridgeMaxQueue)
 	}
 }

@@ -218,7 +218,7 @@ func runRemote(base string, spec *serve.SweepSpec, timeout time.Duration, faultS
 
 	out := make([]sweep.Outcome, 0, len(res.Points))
 	for _, p := range res.Points {
-		out = append(out, p.Outcome(faultSpec, churnSpec, modeSpec))
+		out = append(out, p.Local(faultSpec, churnSpec, modeSpec))
 	}
 	return out, nil
 }

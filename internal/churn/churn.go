@@ -9,9 +9,8 @@ package churn
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"ccredf/internal/kv"
 	"ccredf/internal/network"
 	"ccredf/internal/ring"
 	"ccredf/internal/rng"
@@ -82,21 +81,22 @@ func (s Spec) Normalised() Spec {
 }
 
 // Validate checks the normalised spec, returning field-qualified errors.
+// The comparisons are written to fail on NaN.
 func (s Spec) Validate() error {
 	switch {
-	case s.RatePerSec <= 0:
+	case !(s.RatePerSec > 0):
 		return fmt.Errorf("churn: rate_per_sec %v must be positive", s.RatePerSec)
-	case s.MeanHoldUs <= 0:
+	case !(s.MeanHoldUs > 0):
 		return fmt.Errorf("churn: mean_hold_us %v must be positive", s.MeanHoldUs)
-	case s.HardFrac < 0 || s.HardFrac > 1:
+	case !(s.HardFrac >= 0 && s.HardFrac <= 1):
 		return fmt.Errorf("churn: hard_frac %v outside [0,1]", s.HardFrac)
-	case s.FirmFrac < 0 || s.FirmFrac > 1:
+	case !(s.FirmFrac >= 0 && s.FirmFrac <= 1):
 		return fmt.Errorf("churn: firm_frac %v outside [0,1]", s.FirmFrac)
 	case s.HardFrac+s.FirmFrac > 1:
 		return fmt.Errorf("churn: hard_frac + firm_frac %v exceeds 1", s.HardFrac+s.FirmFrac)
-	case s.FirmBudget < 0 || s.FirmBudget > 1:
+	case !(s.FirmBudget >= 0 && s.FirmBudget <= 1):
 		return fmt.Errorf("churn: firm_budget %v outside [0,1]", s.FirmBudget)
-	case s.BEBudget < 0 || s.BEBudget > 1:
+	case !(s.BEBudget >= 0 && s.BEBudget <= 1):
 		return fmt.Errorf("churn: be_budget %v outside [0,1]", s.BEBudget)
 	case s.MinPeriodSlots < 1:
 		return fmt.Errorf("churn: min_period_slots %d must be at least 1", s.MinPeriodSlots)
@@ -124,96 +124,31 @@ func (s Spec) Validate() error {
 // The empty string parses to the zero ("no churn") spec.
 func ParseSpec(spec string) (Spec, error) {
 	var s Spec
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("churn: %q is not key=value", field)
-		}
-		switch key {
-		case "rate", "hold", "hard", "firm", "fbud", "bbud":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("churn: %s: %v", key, err)
-			}
-			switch key {
-			case "rate":
-				s.RatePerSec = f
-			case "hold":
-				s.MeanHoldUs = f
-			case "hard":
-				s.HardFrac = f
-			case "firm":
-				s.FirmFrac = f
-			case "fbud":
-				s.FirmBudget = f
-			case "bbud":
-				s.BEBudget = f
-			}
-		case "pmin", "pmax", "smax":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Spec{}, fmt.Errorf("churn: %s: %v", key, err)
-			}
-			switch key {
-			case "pmin":
-				s.MinPeriodSlots = n
-			case "pmax":
-				s.MaxPeriodSlots = n
-			case "smax":
-				s.MaxMsgSlots = n
-			}
-		case "seed":
-			v, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("churn: seed: %v", err)
-			}
-			s.Seed = v
-		default:
-			return Spec{}, fmt.Errorf("churn: unknown key %q", key)
-		}
-	}
-	if err := s.Normalised().Validate(); err != nil {
+	if err := kv.Parse("churn", spec, s.fields(), func() error { return s.Normalised().Validate() }); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
 }
 
+// fields is the spec's table, in printed order.
+func (s *Spec) fields() []kv.Field {
+	return []kv.Field{
+		{Key: "rate", Ptr: &s.RatePerSec},
+		{Key: "hold", Ptr: &s.MeanHoldUs},
+		{Key: "hard", Ptr: &s.HardFrac},
+		{Key: "firm", Ptr: &s.FirmFrac},
+		{Key: "fbud", Ptr: &s.FirmBudget},
+		{Key: "bbud", Ptr: &s.BEBudget},
+		{Key: "pmin", Ptr: &s.MinPeriodSlots},
+		{Key: "pmax", Ptr: &s.MaxPeriodSlots},
+		{Key: "smax", Ptr: &s.MaxMsgSlots},
+		{Key: "seed", Ptr: &s.Seed},
+	}
+}
+
 // String renders the spec back into ParseSpec's format (a round-trip inverse
 // for well-formed specs; zero fields are omitted). The zero spec renders "".
-func (s Spec) String() string {
-	var parts []string
-	addF := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%s", key, strconv.FormatFloat(v, 'g', -1, 64)))
-		}
-	}
-	addI := func(key string, v int) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", key, v))
-		}
-	}
-	addF("rate", s.RatePerSec)
-	addF("hold", s.MeanHoldUs)
-	addF("hard", s.HardFrac)
-	addF("firm", s.FirmFrac)
-	addF("fbud", s.FirmBudget)
-	addF("bbud", s.BEBudget)
-	addI("pmin", s.MinPeriodSlots)
-	addI("pmax", s.MaxPeriodSlots)
-	addI("smax", s.MaxMsgSlots)
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	return strings.Join(parts, ",")
-}
+func (s Spec) String() string { return kv.Format(s.fields()) }
 
 // Enabled reports whether the spec describes any churn at all.
 func (s Spec) Enabled() bool { return s.RatePerSec > 0 }

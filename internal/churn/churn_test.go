@@ -47,6 +47,10 @@ func TestSpecValidation(t *testing.T) {
 		{"rate=1000,hold=100,smax=200", "max_msg_slots"},
 		{"rate=1000,hold=100,bogus=1", "unknown key"},
 		{"rate=notanumber,hold=100", "rate"},
+		{"rate=NaN,hold=100", "rate_per_sec"},
+		{"rate=1000,hold=NaN", "mean_hold_us"},
+		{"rate=1000,hold=100,firm=NaN", "firm_frac"},
+		{"rate=1000,hold=100,bbud=NaN", "be_budget"},
 		{"justtext", "key=value"},
 	}
 	for _, c := range bad {

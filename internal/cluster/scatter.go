@@ -103,9 +103,7 @@ func (n *Node) runPoint(ctx context.Context, spec *serve.SweepSpec, pt sweep.Poi
 		}
 		// Same contract as a local grid: the engine's error is the point's
 		// result, not the sweep's.
-		w := serve.WireOutcome(sweep.Outcome{Point: pt})
-		w.Error = err.Error()
-		return w, nil
+		return serve.SweepOutcome{Outcome: sweep.Outcome{Point: pt}, Error: err.Error()}, nil
 	}
 	return out, nil
 }

@@ -122,7 +122,7 @@ func (p *Plan) Validate(nodes int) error {
 		{"distribution_drop_prob", p.DistributionDropProb},
 		{"handover_fail_prob", p.HandoverFailProb},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails too
 			return fmt.Errorf("%s %g outside [0,1]", f.name, f.v)
 		}
 	}

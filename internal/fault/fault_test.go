@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 )
 
@@ -15,6 +16,7 @@ func TestValidate(t *testing.T) {
 		{"coll out of range", Plan{CollectionDropProb: 1.5}, false},
 		{"dist negative", Plan{DistributionDropProb: -0.1}, false},
 		{"ho out of range", Plan{HandoverFailProb: 2}, false},
+		{"coll NaN", Plan{CollectionDropProb: math.NaN()}, false},
 		{"crash ok", Plan{Crashes: []Crash{{Node: 3, At: 100, Restart: 150}}}, true},
 		{"crash permanent", Plan{Crashes: []Crash{{Node: 3, At: 100}}}, true},
 		{"crash node out of ring", Plan{Crashes: []Crash{{Node: 8, At: 100}}}, false},

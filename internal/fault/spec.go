@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ccredf/internal/kv"
 )
 
 // ParseSpec parses the compact command-line fault specification used by the
@@ -17,78 +19,67 @@ import (
 // (omitted = never). The empty string parses to the zero plan.
 func ParseSpec(spec string) (Plan, error) {
 	var p Plan
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
+	if err := kv.Parse("fault", spec, p.fields(), func() error {
+		if err := p.Validate(0); err != nil {
+			return fmt.Errorf("fault: %w", err)
 		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: %q is not key=value", field)
-		}
-		switch key {
-		case "coll", "dist", "ho":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: %s: %v", key, err)
-			}
-			switch key {
-			case "coll":
-				p.CollectionDropProb = f
-			case "dist":
-				p.DistributionDropProb = f
-			case "ho":
-				p.HandoverFailProb = f
-			}
-		case "seed":
-			s, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: seed: %v", err)
-			}
-			p.Seed = s
-		case "crash":
-			c, err := parseCrash(val)
-			if err != nil {
-				return Plan{}, err
-			}
-			p.Crashes = append(p.Crashes, c)
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown key %q", key)
-		}
-	}
-	if err := p.Validate(0); err != nil {
-		return Plan{}, fmt.Errorf("fault: %w", err)
+		return nil
+	}); err != nil {
+		return Plan{}, err
 	}
 	return p, nil
+}
+
+// fields is the plan's spec table, in printed order.
+func (p *Plan) fields() []kv.Field {
+	return []kv.Field{
+		{Key: "coll", Ptr: &p.CollectionDropProb},
+		{Key: "dist", Ptr: &p.DistributionDropProb},
+		{Key: "ho", Ptr: &p.HandoverFailProb},
+		{Key: "crash", Parse: func(val string) error {
+			c, err := parseCrash(val)
+			if err == nil {
+				p.Crashes = append(p.Crashes, c)
+			}
+			return err
+		}, Format: func() []string {
+			var vals []string
+			for _, c := range p.Crashes {
+				v := fmt.Sprintf("%d@%d", c.Node, c.At)
+				if c.Restart != 0 {
+					v += fmt.Sprintf("+%d", c.Restart-c.At)
+				}
+				vals = append(vals, v)
+			}
+			return vals
+		}},
+		{Key: "seed", Ptr: &p.Seed},
+	}
 }
 
 // parseCrash parses NODE@AT[+DURATION].
 func parseCrash(val string) (Crash, error) {
 	nodeStr, rest, ok := strings.Cut(val, "@")
 	if !ok {
-		return Crash{}, fmt.Errorf("fault: crash %q is not NODE@AT[+DURATION]", val)
+		return Crash{}, fmt.Errorf("crash %q is not NODE@AT[+DURATION]", val)
 	}
 	node, err := strconv.Atoi(nodeStr)
 	if err != nil {
-		return Crash{}, fmt.Errorf("fault: crash node: %v", err)
+		return Crash{}, fmt.Errorf("crash node: %v", err)
 	}
 	atStr, durStr, hasDur := strings.Cut(rest, "+")
 	at, err := strconv.ParseInt(atStr, 10, 64)
 	if err != nil {
-		return Crash{}, fmt.Errorf("fault: crash slot: %v", err)
+		return Crash{}, fmt.Errorf("crash slot: %v", err)
 	}
 	c := Crash{Node: node, At: at}
 	if hasDur {
 		dur, err := strconv.ParseInt(durStr, 10, 64)
 		if err != nil {
-			return Crash{}, fmt.Errorf("fault: crash duration: %v", err)
+			return Crash{}, fmt.Errorf("crash duration: %v", err)
 		}
 		if dur <= 0 {
-			return Crash{}, fmt.Errorf("fault: crash duration %d not positive", dur)
+			return Crash{}, fmt.Errorf("crash duration %d not positive", dur)
 		}
 		c.Restart = at + dur
 	}
@@ -97,25 +88,4 @@ func parseCrash(val string) (Crash, error) {
 
 // Spec renders the plan back into ParseSpec's format (a round-trip inverse
 // for non-negative well-formed plans).
-func (p Plan) Spec() string {
-	var parts []string
-	add := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%s", key, strconv.FormatFloat(v, 'g', -1, 64)))
-		}
-	}
-	add("coll", p.CollectionDropProb)
-	add("dist", p.DistributionDropProb)
-	add("ho", p.HandoverFailProb)
-	for _, c := range p.Crashes {
-		if c.Restart != 0 {
-			parts = append(parts, fmt.Sprintf("crash=%d@%d+%d", c.Node, c.At, c.Restart-c.At))
-		} else {
-			parts = append(parts, fmt.Sprintf("crash=%d@%d", c.Node, c.At))
-		}
-	}
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
-	return strings.Join(parts, ",")
-}
+func (p Plan) Spec() string { return kv.Format(p.fields()) }

@@ -17,8 +17,8 @@ package mode
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"ccredf/internal/kv"
 )
 
 // Mode is one operating mode. Ordering is meaningful: higher is more
@@ -151,90 +151,29 @@ func (s Spec) Validate() error {
 // protocol off") spec.
 func ParseSpec(spec string) (Spec, error) {
 	var s Spec
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("mode: %q is not key=value", field)
-		}
-		switch key {
-		case "dmiss", "cmiss", "exit":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("mode: %s: %v", key, err)
-			}
-			switch key {
-			case "dmiss":
-				s.DegradeMiss = f
-			case "cmiss":
-				s.CriticalMiss = f
-			case "exit":
-				s.ExitFrac = f
-			}
-		case "window":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("mode: window: %v", err)
-			}
-			s.WindowSlots = n
-		case "dback", "cback", "cool", "bcap":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Spec{}, fmt.Errorf("mode: %s: %v", key, err)
-			}
-			switch key {
-			case "dback":
-				s.DegradeBacklog = n
-			case "cback":
-				s.CriticalBacklog = n
-			case "cool":
-				s.CooldownWindows = n
-			case "bcap":
-				s.BridgeCap = n
-			}
-		default:
-			return Spec{}, fmt.Errorf("mode: unknown key %q", key)
-		}
-	}
-	if err := s.Normalised().Validate(); err != nil {
+	if err := kv.Parse("mode", spec, s.fields(), func() error { return s.Normalised().Validate() }); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
 }
 
+// fields is the spec's table, in printed order.
+func (s *Spec) fields() []kv.Field {
+	return []kv.Field{
+		{Key: "window", Ptr: &s.WindowSlots},
+		{Key: "dmiss", Ptr: &s.DegradeMiss},
+		{Key: "cmiss", Ptr: &s.CriticalMiss},
+		{Key: "dback", Ptr: &s.DegradeBacklog},
+		{Key: "cback", Ptr: &s.CriticalBacklog},
+		{Key: "exit", Ptr: &s.ExitFrac},
+		{Key: "cool", Ptr: &s.CooldownWindows},
+		{Key: "bcap", Ptr: &s.BridgeCap},
+	}
+}
+
 // String renders the spec back into ParseSpec's format (a round-trip inverse
 // for well-formed specs; zero fields are omitted). The zero spec renders "".
-func (s Spec) String() string {
-	var parts []string
-	addI := func(key string, v int) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", key, v))
-		}
-	}
-	addF := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%s", key, strconv.FormatFloat(v, 'g', -1, 64)))
-		}
-	}
-	if s.WindowSlots != 0 {
-		parts = append(parts, fmt.Sprintf("window=%d", s.WindowSlots))
-	}
-	addF("dmiss", s.DegradeMiss)
-	addF("cmiss", s.CriticalMiss)
-	addI("dback", s.DegradeBacklog)
-	addI("cback", s.CriticalBacklog)
-	addF("exit", s.ExitFrac)
-	addI("cool", s.CooldownWindows)
-	addI("bcap", s.BridgeCap)
-	return strings.Join(parts, ",")
-}
+func (s Spec) String() string { return kv.Format(s.fields()) }
 
 // Transition records one mode change.
 type Transition struct {

@@ -78,6 +78,54 @@ type Snapshot struct {
 	ConnectionCount int                       `json:"connections"`
 }
 
+// Add sums o's counters into s: the run, fault, admission, mode and bridge
+// counters plus Nodes, QueueDepth and ConnectionCount. Identity, rates,
+// latency, the mode name and BridgeMaxQueue are not sums and stay as they
+// are. Multi-ring summaries and the service's lifetime totals both add up
+// runs with it.
+func (s *Snapshot) Add(o *Snapshot) {
+	s.Nodes += o.Nodes
+	s.Slots += o.Slots
+	s.SlotsWithData += o.SlotsWithData
+	s.Grants += o.Grants
+	s.MessagesDelivered += o.MessagesDelivered
+	s.MessagesLost += o.MessagesLost
+	s.FragmentsDelivered += o.FragmentsDelivered
+	s.FragmentsDropped += o.FragmentsDropped
+	s.Retransmits += o.Retransmits
+	s.NetMisses += o.NetMisses
+	s.UserMisses += o.UserMisses
+	s.LateDrops += o.LateDrops
+	s.BytesDelivered += o.BytesDelivered
+	s.WireErrors += o.WireErrors
+	s.Violations += o.Violations
+	s.FaultsInjected += o.FaultsInjected
+	s.FaultsDetected += o.FaultsDetected
+	s.FaultsRecovered += o.FaultsRecovered
+	s.NodeCrashes += o.NodeCrashes
+	s.AdmittedHard += o.AdmittedHard
+	s.AdmittedFirm += o.AdmittedFirm
+	s.AdmittedBE += o.AdmittedBE
+	s.EvictedHard += o.EvictedHard
+	s.EvictedFirm += o.EvictedFirm
+	s.EvictedBE += o.EvictedBE
+	s.RejectedHard += o.RejectedHard
+	s.RejectedFirm += o.RejectedFirm
+	s.RejectedBE += o.RejectedBE
+	s.MissedHard += o.MissedHard
+	s.MissedFirm += o.MissedFirm
+	s.MissedBE += o.MissedBE
+	s.ModeTransitions += o.ModeTransitions
+	s.ModeDegradedEntries += o.ModeDegradedEntries
+	s.ModeCriticalEntries += o.ModeCriticalEntries
+	s.ModeGated += o.ModeGated
+	s.ModeShedBE += o.ModeShedBE
+	s.BridgeDropped += o.BridgeDropped
+	s.BridgeOverflowed += o.BridgeOverflowed
+	s.QueueDepth += o.QueueDepth
+	s.ConnectionCount += o.ConnectionCount
+}
+
 // LatencySummary summarises one latency histogram.
 type LatencySummary struct {
 	Count  int64   `json:"count"`

@@ -72,43 +72,48 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	counter("ccr_served_events_streamed_total", "Protocol-event lines delivered to stream subscribers.", streamed)
 	counter("ccr_served_events_dropped_total", "Protocol-event lines dropped on slow subscribers.", dropped)
 
-	counter("ccr_served_faults_injected_total", "Faults injected across all simulations run by this server.", s.faultsInjected.Load())
-	counter("ccr_served_faults_detected_total", "Injected faults detected by the protocol.", s.faultsDetected.Load())
-	counter("ccr_served_faults_recovered_total", "Injected faults recovered from.", s.faultsRecovered.Load())
+	// Per-run counters, summed over every scenario simulation this server
+	// ran. Sweep points never feed them.
+	s.simMu.Lock()
+	sim := s.sim
+	s.simMu.Unlock()
+	counter("ccr_served_faults_injected_total", "Faults injected across all scenario simulations run by this server.", sim.FaultsInjected)
+	counter("ccr_served_faults_detected_total", "Injected faults detected by the protocol in scenario simulations.", sim.FaultsDetected)
+	counter("ccr_served_faults_recovered_total", "Injected faults recovered from in scenario simulations.", sim.FaultsRecovered)
 
 	// Admission surface: synchronous /v1/admission decisions plus the
-	// per-criticality admission counters aggregated over every simulation
-	// this server ran.
+	// per-criticality admission counters of scenario simulations.
 	counter("ccr_served_admission_requests_total", "Admission decisions served by POST /v1/admission.", s.admissionRequests.Load())
 	counter("ccr_served_admission_admitted_total", "Admission decisions that admitted the candidate.", s.admissionAdmitted.Load())
 	counter("ccr_served_admission_rejected_total", "Admission decisions that refused the candidate.", s.admissionRejected.Load())
 	counter("ccr_served_admission_shed_total", "Connections shed by admission decisions.", s.admissionShed.Load())
-	levels := []string{"hard", "firm", "best_effort"}
-	fmt.Fprintf(w, "# HELP ccr_served_admission_sim_admitted_total Connections admitted in simulations, by criticality level.\n# TYPE ccr_served_admission_sim_admitted_total counter\n")
-	for i, lv := range levels {
-		fmt.Fprintf(w, "ccr_served_admission_sim_admitted_total{level=%q} %d\n", lv, s.critAdmitted[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP ccr_served_admission_sim_evicted_total Connections evicted in simulations, by criticality level.\n# TYPE ccr_served_admission_sim_evicted_total counter\n")
-	for i, lv := range levels {
-		fmt.Fprintf(w, "ccr_served_admission_sim_evicted_total{level=%q} %d\n", lv, s.critEvicted[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP ccr_served_admission_sim_missed_total Deadline misses in simulations, by criticality level.\n# TYPE ccr_served_admission_sim_missed_total counter\n")
-	for i, lv := range levels {
-		fmt.Fprintf(w, "ccr_served_admission_sim_missed_total{level=%q} %d\n", lv, s.critMissed[i].Load())
+	for _, c := range []struct {
+		name, help string
+		byLevel    [3]int64 // hard, firm, best_effort
+	}{
+		{"admitted", "Connections admitted", [3]int64{sim.AdmittedHard, sim.AdmittedFirm, sim.AdmittedBE}},
+		{"evicted", "Connections evicted", [3]int64{sim.EvictedHard, sim.EvictedFirm, sim.EvictedBE}},
+		{"missed", "Deadline misses", [3]int64{sim.MissedHard, sim.MissedFirm, sim.MissedBE}},
+	} {
+		name := "ccr_served_admission_sim_" + c.name + "_total"
+		fmt.Fprintf(w, "# HELP %s %s in scenario simulations, by criticality level.\n# TYPE %s counter\n", name, c.help, name)
+		for i, lv := range []string{"hard", "firm", "best_effort"} {
+			fmt.Fprintf(w, "%s{level=%q} %d\n", name, lv, c.byLevel[i])
+		}
 	}
 
-	// Operating-mode surface: hysteresis transitions, shedding and gating
-	// aggregated over every simulation this server ran, plus the worst mode
-	// of the most recent mode-enabled run (0 = none yet, 1 = normal,
-	// 2 = degraded, 3 = critical).
-	counter("ccr_served_mode_transitions_total", "Operating-mode transitions across all simulations run by this server.", s.modeTransitions.Load())
-	counter("ccr_served_mode_shed_total", "Best-effort messages shed in Critical mode.", s.modeShed.Load())
-	counter("ccr_served_mode_gated_total", "Connection admissions gated by Degraded/Critical mode.", s.modeGated.Load())
-	gauge("ccr_served_mode_last", "Worst operating mode of the most recent mode-enabled run (0 none, 1 normal, 2 degraded, 3 critical).", s.lastMode.Load())
+	// Operating-mode surface: hysteresis transitions, shedding and gating in
+	// scenario simulations, plus the worst mode of the most recent
+	// mode-enabled run (0 = none yet, 1 = normal, 2 = degraded,
+	// 3 = critical).
+	counter("ccr_served_mode_transitions_total", "Operating-mode transitions across all scenario simulations run by this server.", sim.ModeTransitions)
+	counter("ccr_served_mode_shed_total", "Best-effort messages shed in Critical mode in scenario simulations.", sim.ModeShedBE)
+	counter("ccr_served_mode_gated_total", "Connection admissions gated by Degraded/Critical mode in scenario simulations.", sim.ModeGated)
+	gauge("ccr_served_mode_last", "Worst operating mode of the most recent mode-enabled scenario run (0 none, 1 normal, 2 degraded, 3 critical).", s.lastMode.Load())
 
 	// Bridge-backpressure surface: bounded bridge queues on multi-ring runs.
-	counter("ccr_served_bridge_backpressure_dropped_total", "Relays dropped by bridge-queue EDF backpressure.", s.bridgeDropped.Load())
-	counter("ccr_served_bridge_backpressure_overflow_total", "Relays dropped by the bridge-queue hard safety cap.", s.bridgeOverflow.Load())
+	counter("ccr_served_bridge_backpressure_dropped_total", "Relays dropped by bridge-queue EDF backpressure.", sim.BridgeDropped)
+	counter("ccr_served_bridge_backpressure_overflow_total", "Relays dropped by the bridge-queue hard safety cap.", sim.BridgeOverflowed)
 
 	// Resilience surface: circuit breaker, panic isolation, admission
 	// control and journal durability.

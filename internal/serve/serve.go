@@ -36,7 +36,6 @@ import (
 	"ccredf/scenario"
 
 	"ccredf/internal/network"
-	"ccredf/internal/sched"
 	"ccredf/internal/serve/journal"
 	"ccredf/internal/sweep"
 )
@@ -298,36 +297,20 @@ type Server struct {
 	recoveredJobs  atomic.Int64
 	replayedHits   atomic.Int64
 
-	// Fault-injection counters aggregated over every simulation this server
-	// has actually run (cache hits do not re-count).
-	faultsInjected  atomic.Int64
-	faultsDetected  atomic.Int64
-	faultsRecovered atomic.Int64
-
 	// Admission-service counters: synchronous POST /v1/admission decisions.
 	admissionRequests atomic.Int64
 	admissionAdmitted atomic.Int64
 	admissionRejected atomic.Int64
 	admissionShed     atomic.Int64
 
-	// Per-criticality admission counters aggregated over every simulation
-	// this server has actually run (churn scenarios; cache hits do not
-	// re-count), indexed by sched.Criticality.
-	critAdmitted [sched.NumCriticalities]atomic.Int64
-	critEvicted  [sched.NumCriticalities]atomic.Int64
-	critMissed   [sched.NumCriticalities]atomic.Int64
-
-	// Operating-mode and bridge-backpressure counters aggregated over every
-	// simulation this server has actually run (mode scenarios; cache hits do
-	// not re-count). lastMode tracks the most recent finished run's worst
-	// operating mode as a modeRank ordinal (0 = no mode run yet), surfaced on
-	// /readyz and /metrics.
-	modeTransitions atomic.Int64
-	modeShed        atomic.Int64
-	modeGated       atomic.Int64
-	bridgeDropped   atomic.Int64
-	bridgeOverflow  atomic.Int64
-	lastMode        atomic.Int64
+	// simMu guards sim, the running sum (Snapshot.Add) of every scenario
+	// simulation this server has actually run (cache hits and sweep points
+	// do not count) behind the per-run counters of /metrics. lastMode tracks
+	// the most recent finished run's worst operating mode as a modeRank
+	// ordinal (0 = no mode run yet), surfaced on /readyz and /metrics.
+	simMu    sync.Mutex
+	sim      network.Snapshot
+	lastMode atomic.Int64
 
 	wallMu    sync.Mutex
 	wallSum   float64
@@ -826,12 +809,7 @@ func (s *Server) simulateScenario(ctx context.Context, scen *scenario.Scenario, 
 			}
 			res.Multi.Run(next)
 		}
-		sum := SummarizeMulti(res.Multi, key)
-		s.faultsInjected.Add(sum.Snapshot.FaultsInjected)
-		s.faultsDetected.Add(sum.Snapshot.FaultsDetected)
-		s.faultsRecovered.Add(sum.Snapshot.FaultsRecovered)
-		s.addCritCounters(sum.Snapshot)
-		return sum.Encode()
+		return s.account(SummarizeMulti(res.Multi, key))
 	}
 	if gate != nil {
 		res.Net.Attach(gate)
@@ -848,34 +826,19 @@ func (s *Server) simulateScenario(ctx context.Context, scen *scenario.Scenario, 
 		}
 		res.Net.Run(next)
 	}
-	snap := res.Net.Snapshot()
-	s.faultsInjected.Add(snap.FaultsInjected)
-	s.faultsDetected.Add(snap.FaultsDetected)
-	s.faultsRecovered.Add(snap.FaultsRecovered)
-	s.addCritCounters(snap)
-	return Summarize(res.Net, key).Encode()
+	return s.account(Summarize(res.Net, key))
 }
 
-// addCritCounters folds one finished run's per-criticality admission
-// counters into the server-lifetime aggregates behind /metrics.
-func (s *Server) addCritCounters(snap network.Snapshot) {
-	s.critAdmitted[sched.CritHard].Add(snap.AdmittedHard)
-	s.critAdmitted[sched.CritFirm].Add(snap.AdmittedFirm)
-	s.critAdmitted[sched.CritBestEffort].Add(snap.AdmittedBE)
-	s.critEvicted[sched.CritHard].Add(snap.EvictedHard)
-	s.critEvicted[sched.CritFirm].Add(snap.EvictedFirm)
-	s.critEvicted[sched.CritBestEffort].Add(snap.EvictedBE)
-	s.critMissed[sched.CritHard].Add(snap.MissedHard)
-	s.critMissed[sched.CritFirm].Add(snap.MissedFirm)
-	s.critMissed[sched.CritBestEffort].Add(snap.MissedBE)
-	s.modeTransitions.Add(snap.ModeTransitions)
-	s.modeShed.Add(snap.ModeShedBE)
-	s.modeGated.Add(snap.ModeGated)
-	s.bridgeDropped.Add(snap.BridgeDropped)
-	s.bridgeOverflow.Add(snap.BridgeOverflowed)
-	if snap.Mode != "" {
-		s.lastMode.Store(int64(modeRank(snap.Mode)))
+// account folds one finished run's counters into the server-lifetime totals
+// behind /metrics and encodes its summary.
+func (s *Server) account(sum Summary) ([]byte, error) {
+	s.simMu.Lock()
+	s.sim.Add(&sum.Snapshot)
+	s.simMu.Unlock()
+	if sum.Snapshot.Mode != "" {
+		s.lastMode.Store(int64(modeRank(sum.Snapshot.Mode)))
 	}
+	return sum.Encode()
 }
 
 // runSweep fans the grid out — across the cluster when a scatter hook is

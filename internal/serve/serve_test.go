@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -666,6 +667,92 @@ func TestMetricsEndpoint(t *testing.T) {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("malformed metrics line %q", line)
 		}
+	}
+}
+
+// TestSimCountersSumRuns: the per-run /metrics counters are exactly the
+// sum of the finished scenario summaries, and a scrape racing the runs
+// never sees them decrease.
+func TestSimCountersSumRuns(t *testing.T) {
+	srv := New(Options{Workers: 4})
+	defer srv.Close()
+	scrape := func(name string) int64 {
+		var b bytes.Buffer
+		srv.WriteMetrics(&b)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Errorf("metric %s: %v", name, err)
+				}
+				return n
+			}
+		}
+		t.Errorf("metric %s missing", name)
+		return 0
+	}
+	stop := make(chan struct{})
+	scraped := make(chan string, 1)
+	go func() {
+		var last int64
+		for {
+			select {
+			case <-stop:
+				scraped <- ""
+				return
+			default:
+			}
+			v := scrape("ccr_served_faults_injected_total")
+			if v < last {
+				scraped <- fmt.Sprintf("faults_injected_total went from %d to %d", last, v)
+				return
+			}
+			last = v
+			runtime.Gosched()
+		}
+	}()
+	var jobs []*Job
+	for seed := 1; seed <= 8; seed++ {
+		scen, err := scenario.Load(strings.NewReader(fmt.Sprintf(`{
+			"nodes": 8, "seed": %d, "horizon_slots": 1500,
+			"faults": {"collection_drop_prob": 0.05, "seed": %d},
+			"churn": {"rate_per_sec": 200000, "mean_hold_us": 1000}
+		}`, seed, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := srv.SubmitScenario(scen, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	var injected, admittedHard int64
+	for _, j := range jobs {
+		<-j.Done()
+		res, ok := j.Result()
+		if !ok {
+			t.Fatalf("job %s: %s", j.State(), j.Err())
+		}
+		var sum Summary
+		if err := json.Unmarshal(res, &sum); err != nil {
+			t.Fatal(err)
+		}
+		injected += sum.Snapshot.FaultsInjected
+		admittedHard += sum.Snapshot.AdmittedHard
+	}
+	close(stop)
+	if msg := <-scraped; msg != "" {
+		t.Fatal(msg)
+	}
+	if injected == 0 || admittedHard == 0 {
+		t.Fatalf("runs exercised nothing: injected=%d admitted_hard=%d", injected, admittedHard)
+	}
+	if got := scrape("ccr_served_faults_injected_total"); got != injected {
+		t.Errorf("faults_injected_total %d, want the runs' sum %d", got, injected)
+	}
+	if got := scrape(`ccr_served_admission_sim_admitted_total{level="hard"}`); got != admittedHard {
+		t.Errorf("admission_sim_admitted_total{hard} %d, want the runs' sum %d", got, admittedHard)
 	}
 }
 

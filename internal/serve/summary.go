@@ -119,45 +119,7 @@ func SummarizeMulti(net *ccredf.MultiNetwork, key string) Summary {
 	for i := 0; i < net.Rings(); i++ {
 		snap := net.Ring(i).Snapshot()
 		s.Rings = append(s.Rings, RingSummary{Ring: i, Snapshot: snap})
-		agg := &s.Snapshot
-		agg.Nodes += snap.Nodes
-		agg.Slots += snap.Slots
-		agg.SlotsWithData += snap.SlotsWithData
-		agg.Grants += snap.Grants
-		agg.MessagesDelivered += snap.MessagesDelivered
-		agg.MessagesLost += snap.MessagesLost
-		agg.FragmentsDelivered += snap.FragmentsDelivered
-		agg.FragmentsDropped += snap.FragmentsDropped
-		agg.Retransmits += snap.Retransmits
-		agg.NetMisses += snap.NetMisses
-		agg.UserMisses += snap.UserMisses
-		agg.LateDrops += snap.LateDrops
-		agg.BytesDelivered += snap.BytesDelivered
-		agg.WireErrors += snap.WireErrors
-		agg.Violations += snap.Violations
-		agg.FaultsInjected += snap.FaultsInjected
-		agg.FaultsDetected += snap.FaultsDetected
-		agg.FaultsRecovered += snap.FaultsRecovered
-		agg.AdmittedHard += snap.AdmittedHard
-		agg.AdmittedFirm += snap.AdmittedFirm
-		agg.AdmittedBE += snap.AdmittedBE
-		agg.EvictedHard += snap.EvictedHard
-		agg.EvictedFirm += snap.EvictedFirm
-		agg.EvictedBE += snap.EvictedBE
-		agg.RejectedHard += snap.RejectedHard
-		agg.RejectedFirm += snap.RejectedFirm
-		agg.RejectedBE += snap.RejectedBE
-		agg.MissedHard += snap.MissedHard
-		agg.MissedFirm += snap.MissedFirm
-		agg.MissedBE += snap.MissedBE
-		agg.ModeTransitions += snap.ModeTransitions
-		agg.ModeDegradedEntries += snap.ModeDegradedEntries
-		agg.ModeCriticalEntries += snap.ModeCriticalEntries
-		agg.ModeGated += snap.ModeGated
-		agg.ModeShedBE += snap.ModeShedBE
-		agg.NodeCrashes += snap.NodeCrashes
-		agg.QueueDepth += snap.QueueDepth
-		agg.ConnectionCount += snap.ConnectionCount
+		s.Snapshot.Add(&snap)
 		// The aggregate mode is the worst (most severe) ring mode.
 		if snap.Mode != "" && modeRank(snap.Mode) > modeRank(s.Snapshot.Mode) {
 			s.Snapshot.Mode = snap.Mode

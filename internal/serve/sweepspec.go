@@ -8,9 +8,7 @@ import (
 	"ccredf/internal/churn"
 	"ccredf/internal/fault"
 	"ccredf/internal/mode"
-	"ccredf/internal/sched"
 	"ccredf/internal/sweep"
-	"ccredf/internal/timing"
 )
 
 // SweepSpec is the declarative body of POST /v1/sweeps: a parameter grid
@@ -157,118 +155,30 @@ func SweepKey(sp *SweepSpec) (string, error) {
 	return canonicalKey("sweep", &n)
 }
 
-// SweepOutcome is the wire form of one grid point's result.
+// SweepOutcome is the wire form of one grid point's result: the outcome's
+// own JSON plus the error text.
 type SweepOutcome struct {
-	Protocol        string    `json:"protocol"`
-	Nodes           int       `json:"nodes"`
-	Load            float64   `json:"load"`
-	Locality        string    `json:"locality"`
-	Seed            uint64    `json:"seed"`
-	Rings           int       `json:"rings,omitempty"`
-	Delivered       int64     `json:"delivered"`
-	MissRatio       float64   `json:"miss_ratio"`
-	P99LatencyUs    float64   `json:"p99_latency_us"`
-	ReuseFactor     float64   `json:"reuse_factor"`
-	GapFraction     float64   `json:"gap_fraction"`
-	FaultsInjected  int64     `json:"faults_injected,omitempty"`
-	FaultsRecovered int64     `json:"faults_recovered,omitempty"`
-	RingUtil        []float64 `json:"ring_util,omitempty"`
-	CrossMissRatio  float64   `json:"cross_miss_ratio,omitempty"`
-	AdmittedHard    int64     `json:"admitted_hard,omitempty"`
-	AdmittedFirm    int64     `json:"admitted_firm,omitempty"`
-	AdmittedBE      int64     `json:"admitted_be,omitempty"`
-	EvictedHard     int64     `json:"evicted_hard,omitempty"`
-	EvictedFirm     int64     `json:"evicted_firm,omitempty"`
-	EvictedBE       int64     `json:"evicted_be,omitempty"`
-	MissedHard      int64     `json:"missed_hard,omitempty"`
-	MissedFirm      int64     `json:"missed_firm,omitempty"`
-	MissedBE        int64     `json:"missed_be,omitempty"`
-	ModeTransitions int64     `json:"mode_transitions,omitempty"`
-	ModeShedBE      int64     `json:"mode_shed_be,omitempty"`
-	BridgeDropped   int64     `json:"bridge_dropped,omitempty"`
-	BridgeOverflow  int64     `json:"bridge_overflowed,omitempty"`
-	Error           string    `json:"error,omitempty"`
+	sweep.Outcome
+	Error string `json:"error,omitempty"`
 }
 
 // WireOutcome converts one grid point's result to the wire form.
 func WireOutcome(o sweep.Outcome) SweepOutcome {
-	w := SweepOutcome{
-		Protocol:        o.Protocol,
-		Nodes:           o.Nodes,
-		Load:            o.Load,
-		Locality:        o.Locality,
-		Seed:            o.Seed,
-		Rings:           o.Rings,
-		Delivered:       o.Delivered,
-		MissRatio:       o.MissRatio,
-		P99LatencyUs:    o.P99Latency.Micros(),
-		ReuseFactor:     o.ReuseFactor,
-		GapFraction:     o.GapFraction,
-		FaultsInjected:  o.FaultsInjected,
-		FaultsRecovered: o.FaultsRecovered,
-		RingUtil:        o.RingUtil,
-		CrossMissRatio:  o.CrossMissRatio,
-		AdmittedHard:    o.Admitted[sched.CritHard],
-		AdmittedFirm:    o.Admitted[sched.CritFirm],
-		AdmittedBE:      o.Admitted[sched.CritBestEffort],
-		EvictedHard:     o.Evicted[sched.CritHard],
-		EvictedFirm:     o.Evicted[sched.CritFirm],
-		EvictedBE:       o.Evicted[sched.CritBestEffort],
-		MissedHard:      o.Missed[sched.CritHard],
-		MissedFirm:      o.Missed[sched.CritFirm],
-		MissedBE:        o.Missed[sched.CritBestEffort],
-		ModeTransitions: o.ModeTransitions,
-		ModeShedBE:      o.ModeShedBE,
-		BridgeDropped:   o.BridgeDropped,
-		BridgeOverflow:  o.BridgeOverflowed,
-	}
+	w := SweepOutcome{Outcome: o}
 	if o.Err != nil {
 		w.Error = o.Err.Error()
 	}
 	return w
 }
 
-// Outcome converts the wire form back into sweep.Outcome, so table and CSV
+// Local converts the wire form back into sweep.Outcome, so table and CSV
 // output is byte-identical whether the grid ran locally or remotely (the
 // sweep CSV header round-trip contract). faultSpec, churnSpec and modeSpec
 // re-attach the point's fault, churn and operating-mode coordinates, which
 // the wire form does not carry per point.
-func (w SweepOutcome) Outcome(faultSpec, churnSpec, modeSpec string) sweep.Outcome {
-	o := sweep.Outcome{
-		Point: sweep.Point{
-			Protocol:  w.Protocol,
-			Nodes:     w.Nodes,
-			Load:      w.Load,
-			Locality:  w.Locality,
-			Seed:      w.Seed,
-			FaultSpec: faultSpec,
-			Rings:     w.Rings,
-			ChurnSpec: churnSpec,
-			ModeSpec:  modeSpec,
-		},
-		Delivered:       w.Delivered,
-		MissRatio:       w.MissRatio,
-		P99Latency:      timing.Time(w.P99LatencyUs * float64(timing.Microsecond)),
-		ReuseFactor:     w.ReuseFactor,
-		GapFraction:     w.GapFraction,
-		FaultsInjected:  w.FaultsInjected,
-		FaultsRecovered: w.FaultsRecovered,
-		RingUtil:        w.RingUtil,
-		CrossMissRatio:  w.CrossMissRatio,
-	}
-	o.Admitted[sched.CritHard] = w.AdmittedHard
-	o.Admitted[sched.CritFirm] = w.AdmittedFirm
-	o.Admitted[sched.CritBestEffort] = w.AdmittedBE
-	o.Evicted[sched.CritHard] = w.EvictedHard
-	o.Evicted[sched.CritFirm] = w.EvictedFirm
-	o.Evicted[sched.CritBestEffort] = w.EvictedBE
-	o.Missed[sched.CritHard] = w.MissedHard
-	o.Missed[sched.CritFirm] = w.MissedFirm
-	o.Missed[sched.CritBestEffort] = w.MissedBE
-	o.ModeTransitions = w.ModeTransitions
-	o.ModeShedBE = w.ModeShedBE
-	o.BridgeDropped = w.BridgeDropped
-	o.BridgeOverflowed = w.BridgeOverflow
+func (w SweepOutcome) Local(faultSpec, churnSpec, modeSpec string) sweep.Outcome {
+	o := w.Outcome
+	o.FaultSpec, o.ChurnSpec, o.ModeSpec = faultSpec, churnSpec, modeSpec
 	if w.Error != "" {
 		o.Err = errors.New(w.Error)
 	}

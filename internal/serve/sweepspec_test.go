@@ -39,7 +39,7 @@ func TestSweepCSVRoundTrip(t *testing.T) {
 	}
 	remote := make([]sweep.Outcome, len(decoded))
 	for i, w := range decoded {
-		remote[i] = w.Outcome("", "", "")
+		remote[i] = w.Local("", "", "")
 	}
 
 	var localCSV, remoteCSV bytes.Buffer

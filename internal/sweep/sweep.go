@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"ccredf/internal/ccfpr"
@@ -30,39 +31,41 @@ import (
 	"ccredf/internal/traffic"
 )
 
-// Point is one grid coordinate.
+// Point is one grid coordinate. Its JSON form is the coordinate part of the
+// sweep wire row (see Outcome); the spec strings stay off the wire, which
+// carries them once per sweep rather than once per point.
 type Point struct {
 	// Protocol is "ccr-edf", "cc-fpr" or "tdma".
-	Protocol string
+	Protocol string `json:"protocol"`
 	// Nodes is the ring size.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Load is the offered real-time utilisation (forced, identical across
 	// protocols).
-	Load float64
+	Load float64 `json:"load"`
 	// Locality names the destination pattern: "uniform", "neighbour",
 	// "opposite" or "local".
-	Locality string
+	Locality string `json:"locality"`
 	// Seed drives the point's randomness.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// FaultSpec is an optional fault-injection spec (fault.ParseSpec
 	// syntax, e.g. "coll=0.01,crash=3@100+50"); empty disables injection.
 	// Kept as the compact string so Point stays comparable.
-	FaultSpec string
+	FaultSpec string `json:"-"`
 	// Rings > 1 runs the point on a bridged chain of that many rings of
 	// Nodes each (cross-ring connections between neighbouring rings plus one
 	// spanning the chain); 0 or 1 is the classic single ring.
-	Rings int
+	Rings int `json:"rings,omitempty"`
 	// ChurnSpec is an optional connection-churn spec (churn.ParseSpec
 	// syntax, e.g. "rate=50000,hold=2000"); empty disables churn. Kept as
 	// the compact string so Point stays comparable. On a multi-ring point
 	// the churn runs on ring 0.
-	ChurnSpec string
+	ChurnSpec string `json:"-"`
 	// ModeSpec is an optional operating-mode spec (mode.ParseSpec syntax,
 	// e.g. "window=256,dmiss=0.05,bcap=64"); empty disables the protocol.
 	// Kept as the compact string so Point stays comparable. On a multi-ring
 	// point every ring runs its own controller and bcap bounds the bridge
 	// queues.
-	ModeSpec string
+	ModeSpec string `json:"-"`
 }
 
 // String renders the coordinate compactly.
@@ -123,44 +126,54 @@ func WithMode(points []Point, spec string) []Point {
 	return out
 }
 
-// Outcome is the measured result at one point.
+// Outcome is the measured result at one point. Its JSON form is the wire
+// row of a sweep result (serve.SweepOutcome adds the error text), so field
+// order here is wire order.
 type Outcome struct {
 	Point
 	// Delivered counts completed messages; MissRatio is net-deadline
 	// misses over (delivered+missed).
-	Delivered int64
-	MissRatio float64
-	// P99Latency is the real-time class 99th percentile.
-	P99Latency timing.Time
+	Delivered int64   `json:"delivered"`
+	MissRatio float64 `json:"miss_ratio"`
+	// P99LatencyUs is the real-time class 99th percentile in µs.
+	P99LatencyUs float64 `json:"p99_latency_us"`
 	// ReuseFactor is mean busy links per data slot.
-	ReuseFactor float64
+	ReuseFactor float64 `json:"reuse_factor"`
 	// GapFraction is hand-over time over elapsed time.
-	GapFraction float64
+	GapFraction float64 `json:"gap_fraction"`
 	// FaultsInjected and FaultsRecovered count injected faults and the
 	// recoveries the protocol completed (equal when every fault healed).
-	FaultsInjected  int64
-	FaultsRecovered int64
+	FaultsInjected  int64 `json:"faults_injected,omitempty"`
+	FaultsRecovered int64 `json:"faults_recovered,omitempty"`
 	// RingUtil is the admitted real-time utilisation per ring (one entry on
 	// a single-ring point).
-	RingUtil []float64
+	RingUtil []float64 `json:"ring_util,omitempty"`
 	// CrossMissRatio is end-to-end deadline misses plus bridge expiries over
 	// all cross-ring completions (always 0 on a single-ring point).
-	CrossMissRatio float64
-	// Admitted / Evicted / Missed count mixed-criticality admission
-	// outcomes and per-level deadline misses, indexed by sched.Criticality
-	// (all zero without a churn spec).
-	Admitted, Evicted, Missed [sched.NumCriticalities]int64
+	CrossMissRatio float64 `json:"cross_miss_ratio,omitempty"`
+	// Admitted*, Evicted* and Missed* count mixed-criticality admission
+	// outcomes and per-level deadline misses (all zero without a churn
+	// spec).
+	AdmittedHard int64 `json:"admitted_hard,omitempty"`
+	AdmittedFirm int64 `json:"admitted_firm,omitempty"`
+	AdmittedBE   int64 `json:"admitted_be,omitempty"`
+	EvictedHard  int64 `json:"evicted_hard,omitempty"`
+	EvictedFirm  int64 `json:"evicted_firm,omitempty"`
+	EvictedBE    int64 `json:"evicted_be,omitempty"`
+	MissedHard   int64 `json:"missed_hard,omitempty"`
+	MissedFirm   int64 `json:"missed_firm,omitempty"`
+	MissedBE     int64 `json:"missed_be,omitempty"`
 	// ModeTransitions and ModeShedBE count operating-mode transitions and
 	// best-effort messages shed in Critical mode (zero without a mode spec;
 	// summed over rings on a multi-ring point).
-	ModeTransitions int64
-	ModeShedBE      int64
+	ModeTransitions int64 `json:"mode_transitions,omitempty"`
+	ModeShedBE      int64 `json:"mode_shed_be,omitempty"`
 	// BridgeDropped and BridgeOverflowed count bridge-queue backpressure
 	// drops and safety-cap overflows (multi-ring points only).
-	BridgeDropped    int64
-	BridgeOverflowed int64
+	BridgeDropped    int64 `json:"bridge_dropped,omitempty"`
+	BridgeOverflowed int64 `json:"bridge_overflowed,omitempty"`
 	// Err records a failed point (nil on success).
-	Err error
+	Err error `json:"-"`
 }
 
 // Grid enumerates the cartesian product in deterministic order.
@@ -297,31 +310,31 @@ func collect(net *network.Network, out *Outcome) {
 	out.Delivered = m.MessagesDelivered.Value()
 	misses := m.NetDeadlineMisses.Value()
 	out.MissRatio = stats.Ratio(misses, out.Delivered+misses)
-	out.P99Latency = m.Latency[sched.ClassRealTime].Quantile(0.99)
+	out.P99LatencyUs = m.Latency[sched.ClassRealTime].Quantile(0.99).Micros()
 	out.ReuseFactor = m.SpatialReuseFactor()
 	out.GapFraction = float64(m.GapTime) / float64(net.Now())
 	out.FaultsInjected = m.FaultsInjected.Value()
 	out.FaultsRecovered = m.FaultsRecovered.Value()
 	out.RingUtil = []float64{net.Admission().Utilisation()}
-	collectCrit(m, out)
-	collectMode(net, out)
+	collectRing(net, out)
 }
 
-// collectMode folds one ring's operating-mode counters into the outcome.
-func collectMode(net *network.Network, out *Outcome) {
-	if net.ModeController() == nil {
-		return
-	}
-	out.ModeTransitions += net.ModeController().Transitions()
-	out.ModeShedBE += net.Metrics().ModeShedBE.Value()
-}
-
-// collectCrit folds one ring's mixed-criticality counters into the outcome.
-func collectCrit(m *network.Metrics, out *Outcome) {
-	for l := 0; l < sched.NumCriticalities; l++ {
-		out.Admitted[l] += m.CritAdmitted[l].Value()
-		out.Evicted[l] += m.CritEvicted[l].Value()
-		out.Missed[l] += m.CritMisses[l].Value()
+// collectRing folds one ring's mixed-criticality and operating-mode
+// counters into the outcome.
+func collectRing(net *network.Network, out *Outcome) {
+	m := net.Metrics()
+	out.AdmittedHard += m.CritAdmitted[sched.CritHard].Value()
+	out.AdmittedFirm += m.CritAdmitted[sched.CritFirm].Value()
+	out.AdmittedBE += m.CritAdmitted[sched.CritBestEffort].Value()
+	out.EvictedHard += m.CritEvicted[sched.CritHard].Value()
+	out.EvictedFirm += m.CritEvicted[sched.CritFirm].Value()
+	out.EvictedBE += m.CritEvicted[sched.CritBestEffort].Value()
+	out.MissedHard += m.CritMisses[sched.CritHard].Value()
+	out.MissedFirm += m.CritMisses[sched.CritFirm].Value()
+	out.MissedBE += m.CritMisses[sched.CritBestEffort].Value()
+	if mc := net.ModeController(); mc != nil {
+		out.ModeTransitions += mc.Transitions()
+		out.ModeShedBE += m.ModeShedBE.Value()
 	}
 }
 
@@ -426,20 +439,21 @@ func runMultiPoint(ctx context.Context, pt Point, horizonSlots int64) Outcome {
 		done += step
 	}
 	var misses int64
+	var p99 timing.Time
 	for ri := 0; ri < pt.Rings; ri++ {
 		rm := m.Ring(ri).Metrics()
 		out.Delivered += rm.MessagesDelivered.Value()
 		misses += rm.NetDeadlineMisses.Value()
-		if p99 := rm.Latency[sched.ClassRealTime].Quantile(0.99); p99 > out.P99Latency {
-			out.P99Latency = p99
+		if q := rm.Latency[sched.ClassRealTime].Quantile(0.99); q > p99 {
+			p99 = q
 		}
 		out.ReuseFactor += rm.SpatialReuseFactor() / float64(pt.Rings)
 		out.FaultsInjected += rm.FaultsInjected.Value()
 		out.FaultsRecovered += rm.FaultsRecovered.Value()
 		out.RingUtil = append(out.RingUtil, m.Ring(ri).Admission().Utilisation())
-		collectCrit(rm, &out)
-		collectMode(m.Ring(ri), &out)
+		collectRing(m.Ring(ri), &out)
 	}
+	out.P99LatencyUs = p99.Micros()
 	out.BridgeDropped, out.BridgeOverflowed, _ = m.BridgeTotals()
 	out.MissRatio = stats.Ratio(misses, out.Delivered+misses)
 	out.GapFraction = float64(m.Ring(0).Metrics().GapTime) / float64(m.Now())
@@ -507,11 +521,11 @@ func WriteCSV(w io.Writer, outcomes []Outcome) error {
 		}
 		if _, err := fmt.Fprintf(w, "%s,%d,%.4f,%s,%d,%d,%.6f,%.3f,%.4f,%.6f,%d,%d,%s,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
 			o.Protocol, o.Nodes, o.Load, o.Locality, o.Seed,
-			o.Delivered, o.MissRatio, o.P99Latency.Micros(), o.ReuseFactor, o.GapFraction,
+			o.Delivered, o.MissRatio, o.P99LatencyUs, o.ReuseFactor, o.GapFraction,
 			o.FaultsInjected, o.FaultsRecovered, ringUtilCSV(o.RingUtil), o.CrossMissRatio,
-			o.Admitted[sched.CritHard], o.Admitted[sched.CritFirm], o.Admitted[sched.CritBestEffort],
-			o.Evicted[sched.CritHard], o.Evicted[sched.CritFirm], o.Evicted[sched.CritBestEffort],
-			o.Missed[sched.CritHard], o.Missed[sched.CritFirm], o.Missed[sched.CritBestEffort],
+			o.AdmittedHard, o.AdmittedFirm, o.AdmittedBE,
+			o.EvictedHard, o.EvictedFirm, o.EvictedBE,
+			o.MissedHard, o.MissedFirm, o.MissedBE,
 			o.ModeTransitions, o.ModeShedBE, o.BridgeDropped, o.BridgeOverflowed, errStr); err != nil {
 			return err
 		}
@@ -528,7 +542,9 @@ func Table(outcomes []Outcome) *stats.Table {
 			t.AddRow(o.Point.String(), "-", "-", "-", "-", o.Err.Error())
 			continue
 		}
-		t.AddRow(o.Point.String(), o.Delivered, o.MissRatio, o.P99Latency.String(), o.ReuseFactor, o.GapFraction)
+		// Rounding recovers the exact picosecond count the µs value came from.
+		p99 := timing.Time(math.Round(o.P99LatencyUs * float64(timing.Microsecond)))
+		t.AddRow(o.Point.String(), o.Delivered, o.MissRatio, p99.String(), o.ReuseFactor, o.GapFraction)
 	}
 	return t
 }
