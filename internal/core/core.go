@@ -1,10 +1,13 @@
 // Package core implements the CCR-EDF medium access protocol — the paper's
 // primary contribution. Each slot, the arbiter receives one request per node
-// (collected over the control channel during the previous slot), sorts them
+// (collected over the control channel during the previous slot), orders them
 // by priority with the node index breaking ties, elects the highest-priority
 // requester as the next master (which hands it the clocking responsibility
 // and therefore guarantees its transmission is feasible), and greedily grants
-// as many further link-disjoint requests as spatial reuse allows.
+// as many further link-disjoint requests as spatial reuse allows. The
+// paper's traversal of the sorted request list is realised as repeated
+// selection of the highest-priority still-grantable request, which yields
+// identical grants in identical order without sorting the slate.
 package core
 
 import (
@@ -108,21 +111,22 @@ type Arbiter struct {
 	// per slot. The schedulability analysis never relies on it (Section 5),
 	// but at run time it "always results in positive effects".
 	spatialReuse bool
-	// Reusable per-round scratch: the order keys and the outcome's
-	// grant/deny slices. Arbitrate runs once per slot for the lifetime of a
-	// simulation, so reusing these keeps the steady-state slot loop
-	// allocation-free. While keys are built, prev[k] is the key index of the
-	// same node's previous request (k itself for a node's first) and last[v]
-	// is node v's latest key index.
+	// Reusable per-round scratch: the order keys, the grant candidates and
+	// the outcome's grant/deny slices. Arbitrate runs once per slot for the
+	// lifetime of a simulation, so reusing these keeps the steady-state slot
+	// loop allocation-free. While keys are built, prev[k] is the key index
+	// of the same node's previous request (k itself for a node's first) and
+	// last[v] is node v's latest key index.
 	keys   []orderKey
 	prev   []uint16
 	last   [64]uint16
+	cands  []candidate
 	grants []Grant
 	denied []int
 }
 
 // orderKey is a request's position in the arbitration order, packed into a
-// 128-bit big-endian integer that sorts ascending from the highest-priority
+// 128-bit big-endian integer that orders ascending from the highest-priority
 // request:
 //
 //	hi: major (8 bits) | deadline (top 56 bits)
@@ -150,6 +154,16 @@ func (x orderKey) less(y orderKey) bool {
 
 // index returns the key's slate index.
 func (x orderKey) index() int { return int(x.lo & (1<<keyIndexBits - 1)) }
+
+// node returns the key's requesting node.
+func (x orderKey) node() int { return int(x.lo >> keyNodeShift & (1<<keyIndexBits - 1)) }
+
+// candidate is a request still grantable in the current round: its order key
+// and the links its transmission occupies.
+type candidate struct {
+	key   orderKey
+	links ring.LinkSet
+}
 
 // NewArbiter returns a CCR-EDF arbiter for a ring of n nodes.
 func NewArbiter(n int, mode sched.MapMode, spatialReuse bool) (*Arbiter, error) {
@@ -245,25 +259,26 @@ func (a *Arbiter) key(r Request, idx int) orderKey {
 	}
 }
 
-// order fills a.keys with one key per non-empty request of reqs and sorts
-// them, so a.keys lists the slate in compare order. Only requests of the
+// buildKeys fills a.keys with one key per non-empty request of reqs, in
+// slate order, and returns the set of requesting nodes. Only requests of the
 // same node ever need compare itself, once per pair: every other ordering
 // decision is a key comparison.
-func (a *Arbiter) order(reqs []Request) {
+func (a *Arbiter) buildKeys(reqs []Request) ring.NodeSet {
 	keys, prev := a.keys[:0], a.prev[:0]
 	var seen ring.NodeSet
-	for i, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		if r.Empty() {
 			continue
 		}
-		k, link := a.key(r, i), uint16(len(keys))
+		k, link := a.key(*r, i), uint16(len(keys))
 		if seen.Contains(r.Node) {
 			// Rank r against each earlier request of its node, walking
 			// the node's chain back from its latest key (a key linking to
 			// itself ends the chain).
 			link = a.last[r.Node]
 			for j := link; ; j = prev[j] {
-				if a.compare(r, reqs[keys[j].index()]) < 0 {
+				if a.compare(*r, reqs[keys[j].index()]) < 0 {
 					keys[j].lo += 1 << keyRankShift
 				} else {
 					k.lo += 1 << keyRankShift
@@ -277,55 +292,87 @@ func (a *Arbiter) order(reqs []Request) {
 		a.last[r.Node] = uint16(len(keys))
 		keys, prev = append(keys, k), append(prev, link)
 	}
-	// Insertion sort: the keys are distinct (different nodes differ in the
-	// node field, one node's requests in rank), so any sort yields the same
-	// sequence, and on the ≤ 2N keys of a slot a direct insertion sort of
-	// 16-byte words beats the generic machinery.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 	a.keys, a.prev = keys, prev
+	return seen
 }
 
-// Arbitrate implements Protocol. The master traverses the sorted request
-// list, starting with the highest priority, and tries to fulfil as many of
-// the N requests as possible: the top request always succeeds (its owner
-// becomes master and the clock break moves to it); later requests succeed
-// when spatial reuse is enabled, their segment is link-disjoint from every
-// earlier grant and their path avoids the new clock break.
+// Arbitrate implements Protocol. The paper's master traverses the sorted
+// request list, starting with the highest priority, and tries to fulfil as
+// many of the N requests as possible: the top request always succeeds (its
+// owner becomes master and the clock break moves to it); later requests
+// succeed when spatial reuse is enabled, their segment is link-disjoint from
+// every earlier grant and their path avoids the new clock break.
+//
+// The traversal is realised as repeated selection, which grants the same
+// requests in the same order without sorting the slate. Grantability only
+// shrinks as grants accumulate (used links and granted nodes only grow), so
+// a request refused at its turn in the sorted walk could never be granted
+// later. Hence, after electing the master as the minimum key, the walk's
+// next grant is always the minimum among the requests still grantable, and
+// every other request can be discarded the moment it stops being grantable.
 func (a *Arbiter) Arbitrate(reqs []Request, curMaster int) Outcome {
-	a.order(reqs)
-	if len(a.keys) == 0 {
+	requested := a.buildKeys(reqs)
+	keys := a.keys
+	if len(keys) == 0 {
 		// Nothing to send anywhere: the current master keeps clocking.
 		return Outcome{Master: curMaster}
 	}
-	master := reqs[a.keys[0].index()].Node
-	grants, denied := a.grants[:0], a.denied[:0]
-	var used ring.LinkSet
-	var granted, requested ring.NodeSet
-	for i, k := range a.keys {
-		r := reqs[k.index()]
-		requested = requested.Add(r.Node)
-		links := a.ring.PathLinks(r.Node, r.Dests)
-		switch {
-		case i == 0:
-			// The new master's own request: always feasible by
-			// construction (≤ N−1 hops, never crosses its own break).
-		case granted.Contains(r.Node),
-			// A node transmits at most one packet per slot; a secondary
-			// request (extension) is only considered when the primary lost.
-			!a.spatialReuse,
-			!a.ring.Feasible(r.Node, r.Dests, master),
-			used.Overlaps(links):
-			continue
+	top := keys[0]
+	for _, k := range keys[1:] {
+		if k.less(top) {
+			top = k
 		}
-		used = used.Union(links)
-		granted = granted.Add(r.Node)
-		grants = append(grants, Grant{Node: r.Node, Dests: r.Dests, Links: links, MsgID: r.MsgID})
+	}
+	// The new master's own request is always feasible by construction
+	// (≤ N−1 hops, never crosses its own break).
+	mr := reqs[top.index()]
+	master := mr.Node
+	used := a.ring.PathLinks(master, mr.Dests)
+	granted := ring.NodeSet(0).Add(master)
+	grants := append(a.grants[:0], Grant{Node: master, Dests: mr.Dests, Links: used, MsgID: mr.MsgID})
+	if a.spatialReuse {
+		// The candidates are the requests grantable beside the master
+		// alone. A node transmits at most one packet per slot, so the
+		// master's other request (a secondary) is never one.
+		cands := a.cands[:0]
+		for _, k := range keys {
+			r := &reqs[k.index()]
+			if r.Node == master {
+				continue
+			}
+			links := a.ring.PathLinks(r.Node, r.Dests)
+			if used.Overlaps(links) || !a.ring.Feasible(r.Node, r.Dests, master) {
+				continue
+			}
+			cands = append(cands, candidate{key: k, links: links})
+		}
+		for len(cands) > 0 {
+			best := 0
+			for i := 1; i < len(cands); i++ {
+				if cands[i].key.less(cands[best].key) {
+					best = i
+				}
+			}
+			c := cands[best]
+			r := reqs[c.key.index()]
+			used = used.Union(c.links)
+			granted = granted.Add(r.Node)
+			grants = append(grants, Grant{Node: r.Node, Dests: r.Dests, Links: c.links, MsgID: r.MsgID})
+			// Keep only the requests still grantable: link-disjoint from
+			// every grant so far, from a node not yet granted (a
+			// secondary is only considered when its primary lost).
+			kept := cands[:0]
+			for _, x := range cands {
+				if !used.Overlaps(x.links) && !granted.Contains(x.key.node()) {
+					kept = append(kept, x)
+				}
+			}
+			cands = kept
+		}
+		a.cands = cands
 	}
 	// A node is denied when none of its requests were granted.
+	denied := a.denied[:0]
 	for v := uint64(requested &^ granted); v != 0; v &= v - 1 {
 		denied = append(denied, bits.TrailingZeros64(v))
 	}

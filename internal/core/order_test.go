@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -116,9 +117,19 @@ func insertionOrder(a *Arbiter, reqs []Request) []int {
 
 // keyOrder returns the slate indices in the order the arbiter's keys sort.
 func keyOrder(a *Arbiter, reqs []Request) []int {
-	a.order(reqs)
-	idx := make([]int, len(a.keys))
-	for i, k := range a.keys {
+	a.buildKeys(reqs)
+	keys := slices.Clone(a.keys)
+	slices.SortFunc(keys, func(x, y orderKey) int {
+		switch {
+		case x.less(y):
+			return -1
+		case y.less(x):
+			return 1
+		}
+		return 0
+	})
+	idx := make([]int, len(keys))
+	for i, k := range keys {
 		idx[i] = k.index()
 	}
 	return idx
@@ -206,6 +217,106 @@ func TestKeyOrderArbitrarySlates(t *testing.T) {
 			}
 			if want, got := insertionOrder(a, reqs), keyOrder(a, reqs); !slices.Equal(got, want) {
 				t.Fatalf("%v round %d:\nkey order     %v\ncompare order %v\nslate %+v", mode, round, got, want, reqs)
+			}
+		}
+	}
+}
+
+// referenceArbitrate is arbitration by definition: the paper's master walks
+// the slate sorted under compare (insertionOrder) and grants greedily — the
+// top request always, every later one when spatial reuse is on, its node
+// holds no grant yet, its path avoids the new clock break and its links are
+// disjoint from every earlier grant.
+func referenceArbitrate(a *Arbiter, reqs []Request, curMaster int) Outcome {
+	order := insertionOrder(a, reqs)
+	if len(order) == 0 {
+		return Outcome{Master: curMaster}
+	}
+	out := Outcome{Master: reqs[order[0]].Node}
+	var used ring.LinkSet
+	var granted, requested ring.NodeSet
+	for i, idx := range order {
+		r := reqs[idx]
+		requested = requested.Add(r.Node)
+		links := a.ring.PathLinks(r.Node, r.Dests)
+		if i > 0 && (granted.Contains(r.Node) || !a.spatialReuse ||
+			!a.ring.Feasible(r.Node, r.Dests, out.Master) || used.Overlaps(links)) {
+			continue
+		}
+		used = used.Union(links)
+		granted = granted.Add(r.Node)
+		out.Grants = append(out.Grants, Grant{Node: r.Node, Dests: r.Dests, Links: links, MsgID: r.MsgID})
+	}
+	for v := 0; v < 64; v++ {
+		if requested.Contains(v) && !granted.Contains(v) {
+			out.Denied = append(out.Denied, v)
+		}
+	}
+	return out
+}
+
+// varyDests rewrites some destination sets of a slate: multicast sets of
+// random members, and self-only sets, whose span of 0 occupies no link.
+func varyDests(src *rng.Source, n int, reqs []Request) {
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Empty() {
+			continue
+		}
+		switch src.Intn(6) {
+		case 0:
+			r.Dests = ring.Node(r.Node)
+		case 1, 2:
+			for k := src.Intn(4); k >= 0; k-- {
+				r.Dests = r.Dests.Add(src.Intn(n))
+			}
+		}
+	}
+}
+
+// TestSelectionMatchesSortedWalk checks that Arbitrate, which selects
+// grants instead of sorting the slate, decides exactly what the sorted
+// greedy walk decides: the same master, the same grants in the same order,
+// the same denied nodes.
+func TestSelectionMatchesSortedWalk(t *testing.T) {
+	check := func(t *testing.T, a *Arbiter, reqs []Request, curMaster int, what string) {
+		t.Helper()
+		want := referenceArbitrate(a, reqs, curMaster)
+		got := a.Arbitrate(reqs, curMaster)
+		if got.Master != want.Master || !slices.Equal(got.Grants, want.Grants) || !slices.Equal(got.Denied, want.Denied) {
+			t.Fatalf("%s (master %d):\nselection %+v\nsorted walk %+v\nslate %+v", what, curMaster, got, want, reqs)
+		}
+	}
+	for _, mode := range []sched.MapMode{sched.Map5Bit, sched.MapExact} {
+		for _, reuse := range []bool{true, false} {
+			for _, n := range []int{2, 3, 8, 32, 64} {
+				a := mustArbiter(t, n, mode, reuse)
+				src := rng.New(uint64(n)*13 + 5)
+				for _, sec := range []bool{false, true} {
+					for _, tie := range []string{"none", "prio", "deadline"} {
+						for round := 0; round < 150; round++ {
+							reqs := randSlate(src, n, sec, tie)
+							if round%2 == 1 {
+								varyDests(src, n, reqs)
+							}
+							what := fmt.Sprintf("%v reuse=%v n=%d secondaries=%v tie=%s round %d", mode, reuse, n, sec, tie, round)
+							check(t, a, reqs, src.Intn(n), what)
+						}
+					}
+				}
+			}
+			// Slates outside the network's shape: any number of requests
+			// per node, in any position, including exact duplicates.
+			a := mustArbiter(t, 8, mode, reuse)
+			src := rng.New(17)
+			for round := 0; round < 1000; round++ {
+				reqs := make([]Request, src.Intn(40))
+				for i := range reqs {
+					reqs[i] = randRequest(src, 8)
+					reqs[i].Dests = ring.Node(src.Intn(8))
+				}
+				varyDests(src, 8, reqs)
+				check(t, a, reqs, src.Intn(8), fmt.Sprintf("%v reuse=%v arbitrary slate round %d", mode, reuse, round))
 			}
 		}
 	}

@@ -45,9 +45,11 @@ func randDests(src *rng.Source, self, nodes int) ring.NodeSet {
 // TestSecondDistinctDifferential drives 1k randomized workloads through two
 // queues fed identical operation streams — one with the secondary index
 // enabled, one without — and checks after every operation that (a) the
-// indexed SecondDistinct equals the naive full scan, and (b) the index never
-// perturbs the primary service order, including under cancellation (Remove)
-// and expiry-style draining (Pop).
+// indexed SecondDistinct equals the naive full scan, asked twice so the
+// second answer comes from the queue's cache, and (b) the index never
+// perturbs the primary service order, including under cancellation (Remove),
+// expiry-style draining (Pop) and re-push of a message that left the queue
+// (what node.Restore does after a lost fragment).
 func TestSecondDistinctDifferential(t *testing.T) {
 	src := rng.New(2026)
 	for workload := 0; workload < 1000; workload++ {
@@ -61,13 +63,18 @@ func TestSecondDistinctDifferential(t *testing.T) {
 		indexed.EnableSecondaryIndex(r)
 		nextID := int64(1)
 		var live []int64
+		// gone holds messages that left the queues, as (indexed, plain)
+		// pairs, for re-push.
+		var gone [][2]*Message
 
 		check := func(op string) {
 			t.Helper()
-			got, want := indexed.SecondDistinct(), naiveSecondDistinct(r, &indexed)
-			if got != want {
-				t.Fatalf("workload %d after %s: SecondDistinct = %+v, naive scan = %+v (queue len %d)",
-					workload, op, got, want, indexed.Len())
+			want := naiveSecondDistinct(r, &indexed)
+			for i := 0; i < 2; i++ {
+				if got := indexed.SecondDistinct(); got != want {
+					t.Fatalf("workload %d after %s (query %d): SecondDistinct = %+v, naive scan = %+v (queue len %d)",
+						workload, op, i+1, got, want, indexed.Len())
+				}
 			}
 			if plain.SecondDistinct() != nil {
 				t.Fatalf("workload %d: SecondDistinct answered without the index", workload)
@@ -104,15 +111,26 @@ func TestSecondDistinctDifferential(t *testing.T) {
 				}
 				if a != nil {
 					live = removeID(live, a.ID)
+					gone = append(gone, [2]*Message{a, b})
 				}
 				check("pop")
-			default: // cancel a random live message
+			case v < 9: // cancel a random live message
 				id := live[src.Intn(len(live))]
+				a, b := indexed.Find(id), plain.Find(id)
 				if indexed.Remove(id) != plain.Remove(id) {
 					t.Fatalf("workload %d: Remove(%d) disagrees between queues", workload, id)
 				}
 				live = removeID(live, id)
+				gone = append(gone, [2]*Message{a, b})
 				check("remove")
+			case len(gone) > 0: // re-push a message that left
+				i := src.Intn(len(gone))
+				m := gone[i]
+				gone = append(gone[:i], gone[i+1:]...)
+				indexed.Push(m[0])
+				plain.Push(m[1])
+				live = append(live, m[0].ID)
+				check("re-push")
 			}
 		}
 		// Drain fully: the complete service order must match with and

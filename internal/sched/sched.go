@@ -212,7 +212,8 @@ func before(a, b *Message) bool {
 // Remove and grant handling O(log n) even when saturation grows the queue
 // to thousands of messages. An optional per-span secondary index
 // (EnableSecondaryIndex) additionally keeps SecondDistinct O(ring size)
-// instead of O(queue length).
+// instead of O(queue length), and the queue caches its answer until the
+// next Push, Pop or Remove.
 type Queue struct {
 	heap []*Message
 	next int64
@@ -222,6 +223,12 @@ type Queue struct {
 	// occupies a segment of exactly s links. Nil until EnableSecondaryIndex.
 	topo  ring.Ring
 	spans [][]*Message
+	// second is SecondDistinct's answer while secondOK holds. Only Push,
+	// Pop and Remove change the queue's content, and nothing changes the
+	// fields the answer depends on (Class, Deadline, Src, Dests) while a
+	// message is queued, so those three clear secondOK.
+	second   *Message
+	secondOK bool
 }
 
 // EnableSecondaryIndex switches on the per-span index that backs
@@ -254,6 +261,7 @@ func (q *Queue) Push(m *Message) {
 	m.pos = len(q.heap)
 	q.heap = append(q.heap, m)
 	q.byID[m.ID] = m
+	q.secondOK = false
 	q.up(m.pos)
 	if q.spans != nil {
 		q.spanPush(m)
@@ -299,8 +307,12 @@ func (q *Queue) Second() *Message {
 // same-segment and longer-segment runners-up that were dead on arrival.)
 //
 // The per-span index (EnableSecondaryIndex) answers the query in O(ring
-// size); without the index SecondDistinct returns nil.
+// size), and the answer is cached until the queue next changes; without the
+// index SecondDistinct returns nil.
 func (q *Queue) SecondDistinct() *Message {
+	if q.secondOK {
+		return q.second
+	}
 	head := q.Peek()
 	if head == nil || q.spans == nil {
 		return nil
@@ -315,6 +327,7 @@ func (q *Queue) SecondDistinct() *Message {
 			best = c
 		}
 	}
+	q.second, q.secondOK = best, true
 	return best
 }
 
@@ -325,6 +338,7 @@ func (q *Queue) Pop() *Message {
 	}
 	head := q.heap[0]
 	delete(q.byID, head.ID)
+	q.secondOK = false
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
 	q.heap[0].pos = 0
@@ -347,6 +361,7 @@ func (q *Queue) Remove(id int64) bool {
 		return false
 	}
 	delete(q.byID, id)
+	q.secondOK = false
 	i := m.pos
 	last := len(q.heap) - 1
 	q.heap[i] = q.heap[last]

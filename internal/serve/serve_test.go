@@ -503,6 +503,14 @@ func TestSubmitValidation(t *testing.T) {
 			http.StatusBadRequest, "protocols[0]"},
 		{"sweep unknown field", "/v1/sweeps", `{"horizon_slots": 100, "frobs": 2}`, http.StatusBadRequest, "frobs"},
 		{"sweep missing horizon", "/v1/sweeps", `{"nodes": [4]}`, http.StatusBadRequest, "horizon_slots"},
+		{"sweep crash outside ring", "/v1/sweeps", `{"nodes": [8], "horizon_slots": 300, "faults": "crash=9@100"}`,
+			http.StatusBadRequest, "faults: nodes[0] 8: crashes[0].node 9 outside ring [0,8)"},
+		{"sweep crash outside one ring size", "/v1/sweeps", `{"nodes": [16, 8], "horizon_slots": 300, "faults": "crash=9@100"}`,
+			http.StatusBadRequest, "faults: nodes[1] 8"},
+		{"sweep crash outside default ring", "/v1/sweeps", `{"horizon_slots": 300, "faults": "crash=8@100"}`,
+			http.StatusBadRequest, "faults: nodes[0] 8"},
+		{"sweep crash outside bridged ring", "/v1/sweeps", `{"nodes": [4], "rings": 2, "horizon_slots": 300, "faults": "crash=4@100"}`,
+			http.StatusBadRequest, "faults: nodes[0] 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -100,8 +100,16 @@ func (sp *SweepSpec) Validate() error {
 		}
 	}
 	if sp.Faults != "" {
-		if _, err := fault.ParseSpec(sp.Faults); err != nil {
+		plan, err := fault.ParseSpec(sp.Faults)
+		if err != nil {
 			return fmt.Errorf("sweep: faults: %w", err)
+		}
+		// Every point applies the plan to a ring of its own size (with
+		// rings > 1, to ring 0 of that size), so crash nodes must fit each.
+		for i, n := range sp.Nodes {
+			if err := plan.Validate(n); err != nil {
+				return fmt.Errorf("sweep: faults: nodes[%d] %d: %w", i, n, err)
+			}
 		}
 	}
 	if sp.Rings < 0 || sp.Rings > 16 {
