@@ -31,6 +31,7 @@
 package ccredf
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -145,27 +146,9 @@ type Network struct {
 
 // New builds a network from cfg.
 func New(cfg Config) (*Network, error) {
-	if cfg.Params.Nodes == 0 {
-		return nil, fmt.Errorf("ccredf: zero-value Config; start from DefaultConfig")
-	}
-	mode := sched.Map5Bit
-	if cfg.ExactEDF {
-		mode = sched.MapExact
-	}
-	var proto core.Protocol
-	var err error
-	switch cfg.Protocol {
-	case CCREDF:
-		proto, err = core.NewArbiter(cfg.Params.Nodes, mode, !cfg.DisableSpatialReuse)
-	case CCFPR:
-		proto, err = ccfpr.NewArbiter(cfg.Params.Nodes, !cfg.DisableSpatialReuse)
-	case TDMA:
-		proto, err = tdma.NewArbiter(cfg.Params.Nodes, !cfg.DisableSpatialReuse)
-	default:
-		err = fmt.Errorf("ccredf: unknown protocol %d", cfg.Protocol)
-	}
+	ncfg, err := engineConfig(cfg, cfg.Mode)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ccredf: %w", err)
 	}
 	var tracer *trace.Tracer
 	if cfg.TraceCapacity != 0 {
@@ -175,19 +158,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		tracer = trace.New(capacity)
 	}
-	inner, err := network.New(network.Config{
-		Params:            cfg.Params,
-		Protocol:          proto,
-		DropLate:          cfg.DropLate,
-		Reliable:          cfg.Reliable,
-		LossProb:          cfg.LossProb,
-		CorruptProb:       cfg.CorruptProb,
-		Seed:              cfg.Seed,
-		SecondaryRequests: cfg.SecondaryRequests,
-		FailMasterAt:      cfg.FailMasterAt,
-		Faults:            cfg.Faults,
-		Mode:              cfg.Mode,
-	})
+	inner, err := network.New(ncfg)
 	if err != nil {
 		return nil, err
 	}
@@ -203,6 +174,47 @@ func New(cfg Config) (*Network, error) {
 	}
 	inner.AttachTracer(tracer)
 	return &Network{Network: inner, cfg: cfg, tracer: tracer}, nil
+}
+
+// engineConfig translates one ring's facade Config into the engine's,
+// building its arbiter; mode is the operating-mode spec the ring runs. Its
+// errors name no package: each caller says which ring it was building.
+func engineConfig(cfg Config, mode *ModeSpec) (network.Config, error) {
+	if cfg.Params.Nodes == 0 {
+		return network.Config{}, errors.New("zero-value Config; start from DefaultConfig")
+	}
+	mapping := sched.Map5Bit
+	if cfg.ExactEDF {
+		mapping = sched.MapExact
+	}
+	var proto core.Protocol
+	var err error
+	switch cfg.Protocol {
+	case CCREDF:
+		proto, err = core.NewArbiter(cfg.Params.Nodes, mapping, !cfg.DisableSpatialReuse)
+	case CCFPR:
+		proto, err = ccfpr.NewArbiter(cfg.Params.Nodes, !cfg.DisableSpatialReuse)
+	case TDMA:
+		proto, err = tdma.NewArbiter(cfg.Params.Nodes, !cfg.DisableSpatialReuse)
+	default:
+		err = fmt.Errorf("unknown protocol %d", cfg.Protocol)
+	}
+	if err != nil {
+		return network.Config{}, err
+	}
+	return network.Config{
+		Params:            cfg.Params,
+		Protocol:          proto,
+		DropLate:          cfg.DropLate,
+		Reliable:          cfg.Reliable,
+		LossProb:          cfg.LossProb,
+		CorruptProb:       cfg.CorruptProb,
+		Seed:              cfg.Seed,
+		SecondaryRequests: cfg.SecondaryRequests,
+		FailMasterAt:      cfg.FailMasterAt,
+		Faults:            cfg.Faults,
+		Mode:              mode,
+	}, nil
 }
 
 // Config returns the configuration the network was built with.

@@ -188,22 +188,16 @@ func (a *Arbiter) Ring() ring.Ring { return a.ring }
 // Mode returns the priority-comparison mode.
 func (a *Arbiter) Mode() sched.MapMode { return a.mode }
 
-// higher reports whether request x outranks request y under the arbiter's
-// mapping mode. In Map5Bit mode the 5-bit wire priority decides (exactly what
-// the hardware master sees); in MapExact mode the class bands still apply but
-// deadlines are compared at full resolution. Priority ties are resolved by
-// the node index, as in the paper ("the index of the node resolves the tie").
-func (a *Arbiter) higher(x, y Request) bool {
-	return a.compare(x, y) < 0
-}
-
-// compare is higher as a three-way comparison, extended into a strict total
-// order: with the secondary-request extension the same node contributes two
-// requests per round, and a node-index tie between them is broken by deadline
-// and then message ID — both ascending, which deterministically ranks a
-// node's primary (its queue head) ahead of its own secondary. Between
-// different nodes the order is exactly the paper's: priority, then node
-// index.
+// compare ranks request x against request y under the arbiter's mapping
+// mode: negative when x outranks y. In Map5Bit mode the 5-bit wire priority
+// decides (exactly what the hardware master sees); in MapExact mode the class
+// bands still apply but deadlines are compared at full resolution. Priority
+// ties are resolved by the node index, as in the paper ("the index of the
+// node resolves the tie"). The order is strict and total: with the
+// secondary-request extension the same node contributes two requests per
+// round, and a node-index tie between them is broken by deadline and then
+// message ID — both ascending, which deterministically ranks a node's primary
+// (its queue head) ahead of its own secondary.
 func (a *Arbiter) compare(x, y Request) int {
 	if a.mode == sched.MapExact {
 		cx, cy := sched.PrioClass(x.Prio), sched.PrioClass(y.Prio)

@@ -75,9 +75,6 @@ func TestCompareStrictTotalOrder(t *testing.T) {
 						if xy == 0 && !sameKey(mode, x, y) {
 							t.Fatalf("totality: distinguishable requests compare equal: %+v vs %+v", x, y)
 						}
-						if (xy < 0) != a.higher(x, y) {
-							t.Fatalf("higher disagrees with compare for %+v vs %+v", x, y)
-						}
 					}
 				}
 				// Transitivity over sampled triples (full n³ would dominate

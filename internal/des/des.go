@@ -7,6 +7,14 @@
 // nothing from intra-run parallelism, while determinism is essential for the
 // reproducibility of every experiment. Parallelism in the benchmark harness
 // happens across independent simulations instead.
+//
+// There is one kind of event: Post queues a handler that will fire, with no
+// handle to cancel it, and recycles its bookkeeping once it has fired. A
+// component with a fixed, clocked schedule (the network slot engine) need not
+// queue its steps at all: it reserves their sequence numbers (ReserveSeq),
+// runs them itself, and runs the queued events that fall between them
+// (PeekBefore, StepBefore, StepUpTo, AdvanceTo). Run and Step execute the
+// queue alone.
 package des
 
 import (
@@ -19,34 +27,13 @@ import (
 // Handler is an event body, executed when simulated time reaches the event.
 type Handler func(now timing.Time)
 
-// Event is a scheduled occurrence. It is returned by Simulator.At and can be
-// cancelled.
-type Event struct {
-	when      timing.Time
-	seq       uint64
-	index     int // heap index, -1 when not queued
-	fn        Handler
-	cancelled bool
-	pooled    bool // scheduled via Post: recycled after firing
-	sim       *Simulator
+// event is one queued occurrence. Events carry no handle: once queued they
+// fire, and their bookkeeping is recycled through the simulator's free list.
+type event struct {
+	when timing.Time
+	seq  uint64
+	fn   Handler
 }
-
-// When returns the simulated time at which the event fires.
-func (e *Event) When() timing.Time { return e.when }
-
-// Cancel prevents a pending event from firing and removes it from the queue
-// immediately (long soaks that schedule and cancel periodic work would
-// otherwise accumulate dead entries until their fire time). Cancelling an
-// event that has already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	e.cancelled = true
-	if e.index >= 0 && e.sim != nil {
-		e.sim.queue.remove(e.index)
-	}
-}
-
-// Cancelled reports whether Cancel has been called.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Simulator owns the event queue and the simulated clock. The zero value is
 // ready to use.
@@ -56,8 +43,7 @@ type Simulator struct {
 	seq      uint64
 	executed uint64
 	running  bool
-	stopped  bool
-	free     []*Event // recycled Post events
+	free     []*event // recycled events
 }
 
 // New returns a fresh Simulator with the clock at zero.
@@ -69,119 +55,84 @@ func (s *Simulator) Now() timing.Time { return s.now }
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Pending returns the exact number of events still queued; cancelled events
-// are removed eagerly and never counted.
+// Pending returns the number of events still queued.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// ErrPast is returned by At when asked to schedule an event before Now.
+// ErrPast is the panic value (wrapped) of Post asked to schedule an event
+// before Now.
 var ErrPast = errors.New("des: event scheduled in the past")
 
-// At schedules fn to run at absolute time t. It panics if t precedes the
+// Post schedules fn to run at absolute time t. It panics if t precedes the
 // current simulated time, because silently reordering the past would corrupt
-// any protocol built on the kernel.
-func (s *Simulator) At(t timing.Time, fn Handler) *Event {
-	if t < s.now {
-		panic(fmt.Errorf("%w: at %v, now %v", ErrPast, t, s.now))
-	}
-	ev := &Event{when: t, seq: s.seq, fn: fn, sim: s}
-	s.seq++
-	s.queue.push(ev)
-	return ev
-}
-
-// After schedules fn to run d after the current time.
-func (s *Simulator) After(d timing.Time, fn Handler) *Event {
-	return s.At(s.now+d, fn)
-}
-
-// Post schedules fn at absolute time t like At, but returns no handle: the
-// event cannot be cancelled and its bookkeeping is recycled through a free
-// list once it fires. A steady-state caller (the slot engine schedules a
-// handful of events per slot, forever) therefore allocates nothing after the
-// free list has warmed up. Ordering is identical to At — Post and At events
-// share one (time, scheduling-order) queue.
+// any protocol built on the kernel. The event's bookkeeping is recycled
+// through a free list once it fires, so a steady-state caller (deliveries,
+// traffic generators, periodic releases — forever) allocates nothing after
+// the free list has warmed up.
 func (s *Simulator) Post(t timing.Time, fn Handler) {
 	if t < s.now {
 		panic(fmt.Errorf("%w: at %v, now %v", ErrPast, t, s.now))
 	}
-	var ev *Event
+	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*ev = Event{when: t, seq: s.seq, fn: fn, pooled: true, sim: s}
 	} else {
-		ev = &Event{when: t, seq: s.seq, fn: fn, pooled: true, sim: s}
+		ev = new(event)
 	}
+	*ev = event{when: t, seq: s.seq, fn: fn}
 	s.seq++
 	s.queue.push(ev)
 }
 
-// PostAfter schedules fn to run d after the current time, with Post's
-// pooled, non-cancellable semantics.
+// PostAfter schedules fn to run d after the current time.
 func (s *Simulator) PostAfter(d timing.Time, fn Handler) {
 	s.Post(s.now+d, fn)
 }
 
-// recycle returns a fired Post event to the free list. The event's handler is
-// extracted by the caller first, so the recycled slot may be reused by
-// whatever that handler schedules.
-func (s *Simulator) recycle(ev *Event) {
+// fire pops the head event, advances the clock to it and runs it. The event
+// returns to the free list before its handler runs, so the handler's own
+// Posts may reuse it.
+func (s *Simulator) fire() {
+	ev := s.queue.pop()
+	s.now = ev.when
+	fn := ev.fn
 	ev.fn = nil
 	s.free = append(s.free, ev)
+	fn(s.now)
+	s.executed++
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in time order until the queue is empty, Stop is called,
-// or the next event would fire after horizon. Events exactly at the horizon
-// still fire. Run returns the number of events executed during this call.
+// Run executes events in time order until the queue is empty or the next
+// event would fire after horizon. Events exactly at the horizon still fire.
+// Run returns the number of events executed during this call.
 func (s *Simulator) Run(horizon timing.Time) uint64 {
 	if s.running {
 		panic("des: Run called re-entrantly")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	var n uint64
-	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if next.when > horizon {
-			break
-		}
-		s.queue.pop()
-		if next.cancelled {
-			continue
-		}
-		s.now = next.when
-		fn := next.fn
-		if next.pooled {
-			// Recycle before running: fn's own Posts may reuse the slot.
-			s.recycle(next)
-		}
-		fn(s.now)
-		s.executed++
+	for len(s.queue) > 0 && s.queue[0].when <= horizon {
+		s.fire()
 		n++
 	}
 	// Advance the clock to the horizon so that repeated Run calls with
 	// increasing horizons behave like one continuous run.
-	if !s.stopped && s.now < horizon && horizon != timing.Forever {
-		s.now = horizon
-	}
+	s.AdvanceTo(horizon)
 	return n
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
+// RunAll executes events until the queue is empty.
 func (s *Simulator) RunAll() uint64 { return s.Run(timing.Forever) }
 
 // ReserveSeq consumes and returns the next scheduling sequence number without
 // queueing anything. An inline executor (the slot engine's fixed per-slot
-// schedule, see internal/network) reserves the seq each Post would have taken
-// and runs the handler itself; because queued events keep their (when, seq)
-// order against the reserved points, the interleaving — and therefore the
-// whole run — stays byte-identical to the fully event-driven execution.
+// schedule, see internal/network) records its own points under reserved
+// sequence numbers and runs them itself; queued events keep their (when, seq)
+// order against those points, so the interleaving is exactly the one the
+// points would have had as Posts.
 func (s *Simulator) ReserveSeq() uint64 {
 	seq := s.seq
 	s.seq++
@@ -190,38 +141,23 @@ func (s *Simulator) ReserveSeq() uint64 {
 
 // StepBefore executes the single next queued event if it fires no later than
 // horizon AND is ordered strictly before the reserved point (when, seq), and
-// reports whether it did. Inline executors drain the queue through repeated
-// calls right before running each of their own points.
+// reports whether it did.
 func (s *Simulator) StepBefore(horizon, when timing.Time, seq uint64) bool {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.when > horizon {
-			return false
-		}
-		if next.when > when || (next.when == when && next.seq >= seq) {
-			return false
-		}
-		s.queue.pop()
-		if next.cancelled {
-			continue
-		}
-		s.now = next.when
-		fn := next.fn
-		if next.pooled {
-			s.recycle(next)
-		}
-		fn(s.now)
-		s.executed++
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	next := s.queue[0]
+	if next.when > horizon || next.when > when || (next.when == when && next.seq >= seq) {
+		return false
+	}
+	s.fire()
+	return true
 }
 
 // PeekBefore reports whether the next queued event is ordered strictly before
 // the reserved point (when, seq). It is the inline executor's cheap gate: in
 // the common case no heap event interleaves before the next engine point and
-// the executor runs it straight, never calling into StepBefore. A cancelled
-// event at the head may answer true; the subsequent StepBefore skips it.
+// the executor runs it straight, never calling into StepBefore.
 func (s *Simulator) PeekBefore(when timing.Time, seq uint64) bool {
 	if len(s.queue) == 0 {
 		return false
@@ -246,24 +182,13 @@ func (s *Simulator) AdvanceTo(t timing.Time) {
 	}
 }
 
-// Step executes exactly one event (skipping cancelled ones) and reports
-// whether an event was executed.
+// Step executes exactly one event and reports whether there was one.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		next := s.queue.pop()
-		if next.cancelled {
-			continue
-		}
-		s.now = next.when
-		fn := next.fn
-		if next.pooled {
-			s.recycle(next)
-		}
-		fn(s.now)
-		s.executed++
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	s.fire()
+	return true
 }
 
 // eventQueue is a binary min-heap ordered by (when, seq), hand-rolled on the
@@ -272,7 +197,7 @@ func (s *Simulator) Step() bool {
 // an interface. (when, seq) is a strict total order, so the pop sequence —
 // the only observable — is the unique sorted order no matter how the heap
 // arranges its layers.
-type eventQueue []*Event
+type eventQueue []*event
 
 func (q eventQueue) less(i, j int) bool {
 	if q[i].when != q[j].when {
@@ -288,7 +213,6 @@ func (q eventQueue) up(i int) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
-		q[i].index, q[p].index = i, p
 		i = p
 	}
 }
@@ -308,47 +232,25 @@ func (q eventQueue) down(i int) {
 			return
 		}
 		q[i], q[m] = q[m], q[i]
-		q[i].index, q[m].index = i, m
 		i = m
 	}
 }
 
-func (q *eventQueue) push(ev *Event) {
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
-	q.up(ev.index)
+	q.up(len(*q) - 1)
 }
 
 // pop removes and returns the minimum (the root).
-func (q *eventQueue) pop() *Event {
+func (q *eventQueue) pop() *event {
 	h := *q
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[0].index = 0
 	h[n] = nil
 	*q = h[:n]
 	if n > 1 {
 		q.down(0)
 	}
-	ev.index = -1
 	return ev
-}
-
-// remove deletes the element at heap index i (Event.Cancel).
-func (q *eventQueue) remove(i int) {
-	h := *q
-	n := len(h) - 1
-	ev := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].index = i
-	}
-	h[n] = nil
-	*q = h[:n]
-	if i < n {
-		q.down(i)
-		q.up(i)
-	}
-	ev.index = -1
 }

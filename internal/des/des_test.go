@@ -13,7 +13,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []timing.Time
 	times := []timing.Time{50, 10, 30, 20, 40, 10, 0}
 	for _, tm := range times {
-		s.At(tm, func(now timing.Time) { got = append(got, now) })
+		s.Post(tm, func(now timing.Time) { got = append(got, now) })
 	}
 	s.RunAll()
 	want := append([]timing.Time(nil), times...)
@@ -33,7 +33,7 @@ func TestTiesFireFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(100, func(timing.Time) { order = append(order, i) })
+		s.Post(100, func(timing.Time) { order = append(order, i) })
 	}
 	s.RunAll()
 	for i, v := range order {
@@ -44,97 +44,36 @@ func TestTiesFireFIFO(t *testing.T) {
 }
 
 func TestAfterSchedulesRelative(t *testing.T) {
+	// PostAfter counts from the clock, which Run leaves at its horizon even
+	// when the queue ran dry before it.
 	s := New()
 	var fired timing.Time
-	s.At(10, func(now timing.Time) {
-		s.After(5, func(now timing.Time) { fired = now })
-	})
+	s.Post(10, func(timing.Time) {})
+	s.Run(40)
+	s.PostAfter(5, func(now timing.Time) { fired = now })
 	s.RunAll()
-	if fired != 15 {
-		t.Fatalf("After fired at %v, want 15", fired)
+	if fired != 45 {
+		t.Fatalf("PostAfter fired at %v, want 45", fired)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func(timing.Time) {})
+	s.Post(10, func(timing.Time) {})
 	s.RunAll()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	s.At(5, func(timing.Time) {})
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	ev := s.At(10, func(timing.Time) { fired = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	s.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if s.Executed() != 0 {
-		t.Fatalf("Executed() = %d, want 0", s.Executed())
-	}
-}
-
-func TestCancelRemovesEagerly(t *testing.T) {
-	s := New()
-	// Interleave survivors and victims so removal exercises the heap's
-	// interior (not just the root or the tail).
-	var victims []*Event
-	var fired []timing.Time
-	for i := 0; i < 100; i++ {
-		tm := timing.Time(i)
-		if i%2 == 0 {
-			victims = append(victims, s.At(tm, func(timing.Time) { t.Errorf("cancelled event at %v fired", tm) }))
-		} else {
-			s.At(tm, func(now timing.Time) { fired = append(fired, now) })
-		}
-	}
-	if s.Pending() != 100 {
-		t.Fatalf("Pending() = %d before cancel, want 100", s.Pending())
-	}
-	for _, ev := range victims {
-		ev.Cancel()
-	}
-	// Eager removal: the queue shrinks at Cancel time, not at pop time.
-	if s.Pending() != 50 {
-		t.Fatalf("Pending() = %d after cancelling 50, want 50", s.Pending())
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	victims[0].Cancel()
-	if s.Pending() != 50 {
-		t.Fatalf("Pending() = %d after double cancel, want 50", s.Pending())
-	}
-	s.RunAll()
-	if len(fired) != 50 {
-		t.Fatalf("%d survivors fired, want 50", len(fired))
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("order corrupted after removals: %v", fired)
-		}
-	}
-	done := s.At(200, func(timing.Time) {})
-	s.RunAll()
-	done.Cancel() // fired already; index is -1, Cancel must not touch the heap
-	if s.Pending() != 0 {
-		t.Fatalf("Pending() = %d at end, want 0", s.Pending())
-	}
+	s.Post(5, func(timing.Time) {})
 }
 
 func TestRunHorizonStopsBeforeLaterEvents(t *testing.T) {
 	s := New()
 	var fired []timing.Time
 	for _, tm := range []timing.Time{10, 20, 30, 40} {
-		s.At(tm, func(now timing.Time) { fired = append(fired, now) })
+		s.Post(tm, func(now timing.Time) { fired = append(fired, now) })
 	}
 	n := s.Run(25)
 	if n != 2 || len(fired) != 2 {
@@ -150,38 +89,16 @@ func TestRunHorizonStopsBeforeLaterEvents(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := timing.Time(1); i <= 10; i++ {
-		s.At(i, func(timing.Time) {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.RunAll()
-	if count != 3 {
-		t.Fatalf("executed %d events, want 3 (stopped)", count)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("Pending() = %d, want 7", s.Pending())
-	}
-}
-
 func TestStep(t *testing.T) {
 	s := New()
 	count := 0
-	s.At(5, func(timing.Time) { count++ })
-	ev := s.At(6, func(timing.Time) { count++ })
-	ev.Cancel()
-	s.At(7, func(timing.Time) { count++ })
+	s.Post(7, func(timing.Time) { count++ })
+	s.Post(5, func(timing.Time) { count++ })
 	if !s.Step() || count != 1 || s.Now() != 5 {
 		t.Fatalf("first Step: count=%d now=%v", count, s.Now())
 	}
 	if !s.Step() || count != 2 || s.Now() != 7 {
-		t.Fatalf("second Step skipped cancelled: count=%d now=%v", count, s.Now())
+		t.Fatalf("second Step: count=%d now=%v", count, s.Now())
 	}
 	if s.Step() {
 		t.Fatal("Step on empty queue returned true")
@@ -190,7 +107,7 @@ func TestStep(t *testing.T) {
 
 func TestReentrantRunPanics(t *testing.T) {
 	s := New()
-	s.At(1, func(timing.Time) {
+	s.Post(1, func(timing.Time) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic on re-entrant Run")
@@ -208,10 +125,10 @@ func TestEventsScheduledDuringRunExecute(t *testing.T) {
 	schedule = func(now timing.Time) {
 		depth++
 		if depth < 100 {
-			s.After(1, schedule)
+			s.PostAfter(1, schedule)
 		}
 	}
-	s.At(0, schedule)
+	s.Post(0, schedule)
 	s.RunAll()
 	if depth != 100 {
 		t.Fatalf("chained depth = %d, want 100", depth)
@@ -230,7 +147,7 @@ func TestDeterminism(t *testing.T) {
 		var order []int
 		for i := 0; i < 1000; i++ {
 			i := i
-			s.At(timing.Time(rng.Intn(100)), func(timing.Time) { order = append(order, i) })
+			s.Post(timing.Time(rng.Intn(100)), func(timing.Time) { order = append(order, i) })
 		}
 		s.RunAll()
 		return order
@@ -249,7 +166,7 @@ func TestHeapStressOrdering(t *testing.T) {
 	last := timing.Time(-1)
 	violations := 0
 	for i := 0; i < 5000; i++ {
-		s.At(timing.Time(rng.Intn(10000)), func(now timing.Time) {
+		s.Post(timing.Time(rng.Intn(10000)), func(now timing.Time) {
 			if now < last {
 				violations++
 			}
@@ -268,14 +185,14 @@ func TestHeapStressOrdering(t *testing.T) {
 func BenchmarkSchedule(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {
-		s.At(timing.Time(i), func(timing.Time) {})
+		s.Post(timing.Time(i), func(timing.Time) {})
 	}
 }
 
 func BenchmarkRun(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {
-		s.At(timing.Time(i%1024), func(timing.Time) {})
+		s.Post(timing.Time(i%1024), func(timing.Time) {})
 	}
 	b.ResetTimer()
 	s.RunAll()

@@ -1,41 +1,29 @@
 package des
 
 import (
+	"slices"
 	"testing"
 
 	"ccredf/internal/timing"
 )
 
-func TestPostOrdersWithAt(t *testing.T) {
-	s := New()
-	var got []int
-	s.At(20, func(timing.Time) { got = append(got, 2) })
-	s.Post(10, func(timing.Time) { got = append(got, 1) })
-	s.Post(30, func(timing.Time) { got = append(got, 3) })
-	s.At(5, func(timing.Time) { got = append(got, 0) })
-	s.RunAll()
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPostTiesFIFOAcrossKinds(t *testing.T) {
-	// Post and At share one (time, scheduling-order) queue: same-time events
-	// fire in the order they were scheduled, regardless of kind.
+	// Queued events and reserved points share one sequence: at equal times
+	// a Post made before the reservation runs before the point, one made
+	// after it runs after.
 	s := New()
-	var got []int
-	s.Post(10, func(timing.Time) { got = append(got, 0) })
-	s.At(10, func(timing.Time) { got = append(got, 1) })
-	s.Post(10, func(timing.Time) { got = append(got, 2) })
-	s.At(10, func(timing.Time) { got = append(got, 3) })
-	s.RunAll()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("tie order = %v, want FIFO", got)
-		}
+	var got []string
+	s.Post(10, func(timing.Time) { got = append(got, "before") })
+	point := s.ReserveSeq()
+	s.Post(10, func(timing.Time) { got = append(got, "after") })
+	for s.StepBefore(10, 10, point) {
+	}
+	got = append(got, "point")
+	for s.StepUpTo(10) {
+	}
+	want := []string{"before", "point", "after"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("tie order = %v, want %v", got, want)
 	}
 }
 
@@ -85,47 +73,23 @@ func TestPostRecyclesEvents(t *testing.T) {
 	}
 }
 
-func TestPostDoesNotDisturbCancel(t *testing.T) {
-	// At events stay cancellable while pooled Post events churn around them.
-	s := New()
-	var fired bool
-	ev := s.At(100, func(timing.Time) { fired = true })
-	for i := timing.Time(1); i <= 10; i++ {
-		s.Post(i, func(timing.Time) {})
-	}
-	s.Run(50)
-	ev.Cancel()
-	s.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-}
-
 func TestPostInterleavedDeterminism(t *testing.T) {
-	// Two identical schedules mixing At, Cancel and Post must execute in the
-	// identical order — the reproducibility contract of the kernel.
+	// Two identical schedules mixing ties, reserved sequence numbers and
+	// Posts made by running handlers must execute in the identical order —
+	// the reproducibility contract of the kernel.
 	run := func() []int {
 		s := New()
 		var got []int
 		rec := func(v int) Handler { return func(timing.Time) { got = append(got, v) } }
 		s.Post(10, rec(0))
-		e := s.At(10, rec(99))
+		s.ReserveSeq()
 		s.Post(10, rec(1))
-		e.Cancel()
 		s.Post(5, func(timing.Time) { s.PostAfter(5, rec(2)) })
 		s.RunAll()
 		return got
 	}
 	a, b := run(), run()
-	if len(a) != len(b) || len(a) != 3 {
-		t.Fatalf("runs differ: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("runs differ: %v vs %v", a, b)
-		}
+	if !slices.Equal(a, b) || !slices.Equal(a, []int{0, 1, 2}) {
+		t.Fatalf("runs differ or misorder: %v vs %v", a, b)
 	}
 }

@@ -107,11 +107,11 @@ type bridgeState struct {
 }
 
 // MultiNet is a multi-ring CCR-EDF network: R single-ring Networks sharing
-// one event kernel, bridges store-and-forwarding cross-ring traffic between
+// one event kernel and run together by the single-ring executor
+// (Network.Run), bridges store-and-forwarding cross-ring traffic between
 // them, and an end-to-end admission controller spanning every ring segment
-// plus bridge relay of a route. The single-ring hot path is untouched — all
-// cross-ring bookkeeping happens in delivery callbacks off the gated
-// allocation-free slot loop.
+// plus bridge relay of a route. All cross-ring bookkeeping happens in
+// delivery callbacks off the gated allocation-free slot loop.
 type MultiNet struct {
 	topo    *topology.Topology
 	sim     *des.Simulator
@@ -176,18 +176,19 @@ func NewMulti(cfg MultiConfig) (*MultiNet, error) {
 		slot := m.rings[b.RingB].Params().SlotTime()
 		m.relay = append(m.relay, timing.Time(cfg.RelaySlots)*slot)
 	}
+	for _, net := range m.rings {
+		net.group = m.rings
+	}
 	m.e2e = sched.NewEndToEnd(adms, len(m.bridges))
 	return m, nil
 }
 
-// Sim exposes the shared event kernel.
-func (m *MultiNet) Sim() *des.Simulator { return m.sim }
-
 // Now returns the current simulated time.
 func (m *MultiNet) Now() timing.Time { return m.sim.Now() }
 
-// Run advances every ring's slot loop (they share one kernel) to time t.
-func (m *MultiNet) Run(until timing.Time) { m.sim.Run(until) }
+// Run advances every ring's slot loop to time until. The rings share one
+// kernel and one group, so this is any ring's Run.
+func (m *MultiNet) Run(until timing.Time) { m.rings[0].Run(until) }
 
 // RunSlots advances by approximately count slots of ring 0.
 func (m *MultiNet) RunSlots(count int64) {

@@ -10,6 +10,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ccredf/internal/core"
@@ -86,10 +87,10 @@ type Config struct {
 	// check per slot and the run is byte-identical to a mode-free build.
 	Mode *mode.Spec
 	// Sim, when non-nil, is the event kernel the network schedules on instead
-	// of creating its own. A multi-ring topology (MultiNet) passes one shared
-	// simulator to every ring so their slot loops interleave on a single
-	// deterministic clock. Nil — every pre-topology caller — keeps the
-	// private-kernel behaviour byte-identical.
+	// of creating its own: networks on one kernel share its clock and its
+	// scheduling sequence. The rings of a MultiNet share one, and NewMulti
+	// groups them so that running any one advances all of them; networks
+	// sharing a kernel outside a MultiNet are not run together.
 	Sim *des.Simulator
 }
 
@@ -229,38 +230,26 @@ type Network struct {
 	// its per-round storage. sampledSpare/sampled2Spare double-buffer the
 	// request slates (arbitrate swaps and resets in place, so the slate an
 	// arbitration event exposed stays intact until the next round), combined
-	// is the 2N scratch for the secondary-request extension, the handler
-	// fields are the per-slot des handlers bound once at construction
-	// (binding per schedule would allocate a closure per event), and
+	// is the 2N scratch for the secondary-request extension, and
 	// freeDeliveries pools the in-flight fragment-delivery events.
 	sampledSpare   []core.Request
 	sampled2Spare  []core.Request
 	combined       []core.Request
-	sampleFns      []des.Handler
-	arbitrateFn    des.Handler
-	endSlotFn      des.Handler
-	startSlotFn    des.Handler
 	freeDeliveries *delivery
 
-	// Inline slot execution (DESIGN.md §9). When the network owns its
-	// simulator (cfg.Sim == nil) the fixed per-slot schedule — N collection
-	// samples, the arbitration and the slot end — is not pushed through the
-	// event heap at all: startSlot records the points in inlinePts with their
-	// reserved sequence numbers (des.ReserveSeq) and Run executes them
-	// directly, draining genuinely dynamic events (deliveries, traffic
-	// generators, fault-recovery timeouts) from the heap exactly where the
-	// (time, seq) order would have interleaved them. That removes ~N+3 heap
-	// push/pop pairs per slot while keeping every run byte-identical to the
-	// event-driven path, which MultiNet (a shared cfg.Sim) still uses.
-	// inlineNext is the cursor into inlinePts; slotPending/nextSlotAt/
-	// nextSlotSeq hold the reserved start of the next slot so a Run horizon
-	// may land anywhere inside a slot and resume later (mid-slot suspension).
-	inline      bool
-	inlinePts   []enginePoint
-	inlineNext  int
-	slotPending bool
-	nextSlotAt  timing.Time
-	nextSlotSeq uint64
+	// Inline slot execution (DESIGN.md §9). The slot's fixed schedule — N
+	// collection samples, the arbitration, the slot end and the start of
+	// the next slot — never passes through the event heap: it is recorded
+	// in pts as engine points under sequence numbers reserved from the
+	// kernel (des.ReserveSeq), and Run executes them directly, running the
+	// kernel's queued events (deliveries, traffic generators, recovery
+	// timeouts) exactly where the (time, seq) order interleaves them. ptNext
+	// is the cursor into pts; an exhausted cursor is a silent ring awaiting
+	// a recovery timeout. group holds every network on this kernel (just
+	// this one, or all rings of a MultiNet): Run advances them together.
+	pts    []enginePoint
+	ptNext int
+	group  []*Network
 
 	msgSeq    int64
 	conns     map[int]*connState
@@ -284,12 +273,12 @@ type Network struct {
 	modeCtl *mode.Controller
 }
 
-// enginePoint is one inline-executed engine event: an operation to run at a
-// simulated time under a sequence number reserved from the simulator, so its
-// order against heap-scheduled events matches the event-driven execution.
-// The operation is encoded as an opcode plus node index rather than a bound
-// handler: runInline dispatches with direct method calls, where a des.Handler
-// costs a closure indirection per point (ten per slot).
+// enginePoint is one inline-executed engine step: an operation to run at a
+// simulated time under a sequence number reserved from the simulator, which
+// fixes its order against queued events and other networks' points. The
+// operation is an opcode plus node index rather than a bound handler: Run
+// dispatches with direct method calls, where a des.Handler costs a closure
+// indirection per point.
 type enginePoint struct {
 	when timing.Time
 	seq  uint64
@@ -302,7 +291,13 @@ const (
 	opSample uint8 = iota
 	opArbitrate
 	opEndSlot
+	opStartSlot
 )
+
+// before reports whether p is ordered strictly before q.
+func (p *enginePoint) before(q *enginePoint) bool {
+	return p.when < q.when || (p.when == q.when && p.seq < q.seq)
+}
 
 // delivery is a pooled in-flight fragment: the des event payload for the
 // arrival of one granted transmission. fire is bound into fn once, when the
@@ -366,7 +361,6 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("network: designated node %d outside ring", cfg.DesignatedNode)
 	}
 	sim := cfg.Sim
-	inline := sim == nil
 	if sim == nil {
 		sim = des.New()
 	}
@@ -383,11 +377,9 @@ func New(cfg Config) (*Network, error) {
 		sampled:      make([]core.Request, r.Nodes()),
 		sampledSpare: make([]core.Request, r.Nodes()),
 		conns:        make(map[int]*connState),
-		inline:       inline,
+		pts:          make([]enginePoint, 0, r.Nodes()+2),
 	}
-	if inline {
-		n.inlinePts = make([]enginePoint, 0, r.Nodes()+2)
-	}
+	n.group = []*Network{n}
 	if cfg.Faults.Enabled() {
 		inj, err := fault.New(*cfg.Faults, r.Nodes())
 		if err != nil {
@@ -408,7 +400,6 @@ func New(cfg Config) (*Network, error) {
 		n.sampled2Spare = make([]core.Request, r.Nodes())
 		n.combined = make([]core.Request, 0, 2*r.Nodes())
 	}
-	n.sampleFns = make([]des.Handler, r.Nodes())
 	for i := 0; i < r.Nodes(); i++ {
 		nd := node.New(i)
 		if cfg.SecondaryRequests {
@@ -421,12 +412,7 @@ func New(cfg Config) (*Network, error) {
 			n.sampled2[i].Node = i
 			n.sampled2Spare[i].Node = i
 		}
-		i := i
-		n.sampleFns[i] = func(t timing.Time) { n.sample(i, t) }
 	}
-	n.arbitrateFn = n.arbitrate
-	n.endSlotFn = n.endSlot
-	n.startSlotFn = n.startSlot
 	// Built-in accounting subscribes first so Metrics always fills; the
 	// caller's observers follow in the order given.
 	n.pipe.Attach(&metricsObserver{m: n.metrics, payload: cfg.Params.SlotPayloadBytes})
@@ -437,98 +423,123 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// scheduleNextSlot arranges for startSlot to run at time at. The event-driven
-// path posts it on the heap; the inline path reserves the identical sequence
-// number and lets Run execute it directly.
+// scheduleNextSlot records the start of the next slot, at time at, as the
+// network's only pending engine point.
 func (n *Network) scheduleNextSlot(at timing.Time) {
-	if n.inline {
-		n.nextSlotAt = at
-		n.nextSlotSeq = n.sim.ReserveSeq()
-		n.slotPending = true
-		return
-	}
-	n.sim.Post(at, n.startSlotFn)
+	n.pts = n.pts[:1]
+	n.pts[0] = enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opStartSlot}
+	n.ptNext = 0
 }
 
 // Now returns the current simulated time.
 func (n *Network) Now() timing.Time { return n.sim.Now() }
 
 // At schedules fn at absolute simulated time t (for traffic generators and
-// services). The event bookkeeping is pooled (des.Post): callers never see a
-// handle, so nothing is lost by making it non-cancellable.
+// services).
 func (n *Network) At(t timing.Time, fn func(timing.Time)) { n.sim.Post(t, fn) }
 
 // After schedules fn d after the current time.
 func (n *Network) After(d timing.Time, fn func(timing.Time)) { n.sim.PostAfter(d, fn) }
 
-// Run advances the simulation to the given absolute time.
+// Run advances the simulation to the given absolute time. Every network on
+// the same kernel advances with it (all rings of a MultiNet, whichever ring
+// is run): their engine points and the kernel's queued events execute in one
+// (time, seq) order. The horizon may land anywhere — mid-slot, mid-gap, or
+// during a recovery silence — and the next call resumes there.
 func (n *Network) Run(until timing.Time) {
-	if n.inline {
-		n.runInline(until)
-		return
-	}
-	n.sim.Run(until)
-}
-
-// runInline advances the simulation to until by executing the recorded engine
-// points directly, draining heap events (deliveries, traffic, recovery
-// timeouts) wherever the (time, seq) order interleaves them. The horizon may
-// land anywhere — mid-slot, mid-gap, or during a recovery silence — and the
-// cursor state picks the slot up on the next call.
-func (n *Network) runInline(until timing.Time) {
+	sim := n.sim
 	for {
-		// Run the active slot's remaining engine points.
-		for n.inlineNext < len(n.inlinePts) {
-			pt := n.inlinePts[n.inlineNext]
-			if pt.when > until {
-				// Suspended mid-slot: finish the due heap events and park.
-				for n.sim.StepUpTo(until) {
-				}
-				n.sim.AdvanceTo(until)
-				return
-			}
-			if n.sim.PeekBefore(pt.when, pt.seq) {
-				// A heap event interleaves before this point; it is in
-				// horizon because its time is at most pt.when ≤ until.
-				for n.sim.StepBefore(until, pt.when, pt.seq) {
-				}
-			}
-			n.inlineNext++
-			n.sim.AdvanceTo(pt.when)
-			switch pt.op {
-			case opSample:
-				n.sample(int(pt.idx), pt.when)
-			case opArbitrate:
-				n.arbitrate(pt.when)
-			default:
-				n.endSlot(pt.when)
-			}
+		// A lone network needs no merge (and no call on its hot path).
+		cur, bw, bs := n, timing.Time(timing.Forever), uint64(math.MaxUint64)
+		if len(n.group) > 1 {
+			cur, bw, bs = n.earliest()
+		} else if n.ptNext == len(n.pts) {
+			cur = nil
 		}
-		// The slot is complete; cross the hand-over gap into the next one.
-		if n.slotPending {
-			if n.nextSlotAt > until {
-				for n.sim.StepUpTo(until) {
-				}
-				n.sim.AdvanceTo(until)
+		if cur == nil {
+			// Every network is silent, awaiting a recovery timeout: only
+			// queued events can run, and one may re-arm a network.
+			if !sim.StepUpTo(until) {
+				sim.AdvanceTo(until)
 				return
 			}
-			if n.sim.PeekBefore(n.nextSlotAt, n.nextSlotSeq) {
-				for n.sim.StepBefore(until, n.nextSlotAt, n.nextSlotSeq) {
-				}
-			}
-			n.slotPending = false
-			n.sim.AdvanceTo(n.nextSlotAt)
-			n.startSlot(n.nextSlotAt)
 			continue
 		}
-		// No slot is scheduled: the ring is silent awaiting a recovery
-		// timeout (master loss, failed hand-over). Step heap events one at a
-		// time — the recovery handler re-arms the engine mid-step.
-		if !n.sim.StepUpTo(until) {
-			n.sim.AdvanceTo(until)
-			return
+		// cur runs its points while they precede the horizon and the other
+		// networks' earliest point (bw, bs); lim folds both bounds into the
+		// one comparison the common path makes.
+		lim := until
+		if bw <= lim {
+			lim = bw - 1
+		}
+		for cur.ptNext < len(cur.pts) {
+			pt := cur.pts[cur.ptNext]
+			if pt.when > lim {
+				if pt.when <= until || bw <= until {
+					if pt.when > until || pt.when > bw || pt.seq > bs {
+						break // another network's point comes first
+					}
+				} else {
+					// No network has a point due by the horizon: run the
+					// queued events that are.
+					if !sim.StepUpTo(until) {
+						sim.AdvanceTo(until)
+						return
+					}
+					if len(n.group) > 1 {
+						break
+					}
+					continue
+				}
+			}
+			if sim.PeekBefore(pt.when, pt.seq) {
+				// A queued event comes first (and is due: it is no later
+				// than pt). It may re-arm a silent network, which moves the
+				// bound: with other networks, choose the earliest point again.
+				sim.StepBefore(until, pt.when, pt.seq)
+				if len(n.group) > 1 {
+					break
+				}
+				continue
+			}
+			cur.ptNext++
+			sim.AdvanceTo(pt.when)
+			switch pt.op {
+			case opSample:
+				cur.sample(int(pt.idx), pt.when)
+			case opArbitrate:
+				cur.arbitrate(pt.when)
+			case opEndSlot:
+				cur.endSlot(pt.when)
+			default:
+				cur.startSlot(pt.when)
+			}
 		}
 	}
+}
+
+// earliest returns the network of n's group whose next engine point comes
+// first, and the (time, seq) of the earliest point among the others
+// (timing.Forever when there is none). cur is nil when every network is
+// silent.
+func (n *Network) earliest() (cur *Network, bw timing.Time, bs uint64) {
+	var first, second *enginePoint
+	for _, g := range n.group {
+		if g.ptNext == len(g.pts) {
+			continue
+		}
+		pt := &g.pts[g.ptNext]
+		switch {
+		case first == nil || pt.before(first):
+			first, second, cur = pt, first, g
+		case second == nil || pt.before(second):
+			second = pt
+		}
+	}
+	if second == nil {
+		return cur, timing.Forever, math.MaxUint64
+	}
+	return cur, second.when, second.seq
 }
 
 // RunSlots advances the simulation by approximately count slots (assuming
@@ -860,47 +871,34 @@ func (n *Network) startSlot(now timing.Time) {
 
 	// Collection phase: the control packet leaves the master and passes
 	// every node; node (master+i) appends its request after i per-node
-	// delays and the propagation over the i links between them. Inline mode
-	// records the same schedule as engine points under reserved sequence
-	// numbers — in the exact order the Posts below consume theirs — and Run
-	// executes them without touching the heap.
-	if n.inline {
-		nodes := n.r.Nodes()
-		pts := n.inlinePts[:0]
-		for i := 1; i <= nodes; i++ {
-			idx := n.master + i
-			if idx >= nodes {
-				idx -= nodes
-			}
-			at := now + n.tt.CollectOff(n.master, i)
-			pts = append(pts, enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opSample, idx: int32(idx)})
+	// delays and the propagation over the i links between them. The master
+	// holds the completed packet after Equation 2's minimum collection time
+	// and arbitrates; the slot ends one payload time after it started. Each
+	// step is recorded as an engine point for Run.
+	nodes := n.r.Nodes()
+	pts := n.pts[:0]
+	for i := 1; i <= nodes; i++ {
+		idx := n.master + i
+		if idx >= nodes {
+			idx -= nodes
 		}
-		pts = append(pts, enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate})
-		pts = append(pts, enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
-		// The schedule above is already (when, seq)-ordered for every
-		// physically sensible Params (sample times grow with the hop count,
-		// arbitration shares the last sample's time with a later seq); the
-		// insertion sort is a cheap O(n) pass then, and keeps the inline
-		// execution faithful to the heap order for exotic timing models.
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && (pts[j].when < pts[j-1].when ||
-				(pts[j].when == pts[j-1].when && pts[j].seq < pts[j-1].seq)); j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
+		at := now + n.tt.CollectOff(n.master, i)
+		pts = append(pts, enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opSample, idx: int32(idx)})
+	}
+	pts = append(pts, enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate})
+	pts = append(pts, enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
+	// The schedule above is already (when, seq)-ordered for every physically
+	// sensible Params (sample times grow with the hop count, arbitration
+	// shares the last sample's time with a later seq); the insertion sort is
+	// a cheap O(n) pass then, and keeps Run's order exact for exotic timing
+	// models.
+	for i := 1; i < len(pts); i++ {
+		for j := i; j > 0 && pts[j].before(&pts[j-1]); j-- {
+			pts[j], pts[j-1] = pts[j-1], pts[j]
 		}
-		n.inlinePts = pts
-		n.inlineNext = 0
-		return
 	}
-	for i := 1; i <= n.r.Nodes(); i++ {
-		idx := (n.master + i) % n.r.Nodes()
-		n.sim.Post(now+n.tt.CollectOff(n.master, i), n.sampleFns[idx])
-	}
-	// The master holds the completed packet after Equation 2's minimum
-	// collection time and arbitrates.
-	n.sim.Post(now+n.tt.MinSlot, n.arbitrateFn)
-	// The slot ends one payload time after it started.
-	n.sim.Post(now+n.tt.SlotTime, n.endSlotFn)
+	n.pts = pts
+	n.ptNext = 0
 }
 
 // transmit delivers (or loses) one granted fragment.

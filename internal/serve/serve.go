@@ -399,30 +399,7 @@ func (s *Server) requeueRecovered(p journal.Pending) {
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 
 	var err error
-	switch p.Kind {
-	case kindSim:
-		var scen *scenario.Scenario
-		if scen, err = scenario.Load(bytes.NewReader(p.Spec)); err == nil {
-			j.scen = scen
-			// Recompute the key rather than trusting the journalled one: it
-			// embeds the engine version, so results computed by an older
-			// engine can never satisfy a newer server.
-			j.key, err = ScenarioKey(scen)
-		}
-	case kindSweep:
-		var spec SweepSpec
-		dec := json.NewDecoder(bytes.NewReader(p.Spec))
-		dec.DisallowUnknownFields()
-		if err = dec.Decode(&spec); err == nil {
-			spec.normalise()
-			if err = spec.Validate(); err == nil {
-				j.sweepSpec = &spec
-				j.key, err = SweepKey(&spec)
-			}
-		}
-	default:
-		err = fmt.Errorf("serve: journal: unknown job kind %q", p.Kind)
-	}
+	j.scen, j.sweepSpec, j.key, err = decodeSpec("journal", p.Kind, p.Spec)
 
 	s.mu.Lock()
 	s.registerLocked(j)
@@ -539,18 +516,54 @@ func (s *Server) submitRecord(j *Job) journal.Record {
 		Op: journal.OpSubmit, ID: j.id, Kind: j.kind, Key: j.key,
 		Timeout: int64(j.timeout),
 	}
-	var spec []byte
-	var err error
-	switch j.kind {
-	case kindSim:
-		spec, err = json.Marshal(j.scen)
-	case kindSweep:
-		spec, err = json.Marshal(j.sweepSpec)
-	}
-	if err == nil {
+	if spec, err := j.encodeSpec("journal"); err == nil {
 		rec.Spec = spec
 	}
 	return rec
+}
+
+// encodeSpec renders the job's spec as the compact JSON that decodeSpec
+// reads back. op names the caller in the unknown-kind error.
+func (j *Job) encodeSpec(op string) ([]byte, error) {
+	switch j.kind {
+	case kindSim:
+		return json.Marshal(j.scen)
+	case kindSweep:
+		return json.Marshal(j.sweepSpec)
+	default:
+		return nil, fmt.Errorf("serve: %s: unknown job kind %q", op, j.kind)
+	}
+}
+
+// decodeSpec rebuilds a stored job spec (a journalled pending job, a stolen
+// one): it parses and validates the spec of the given kind and recomputes
+// its key. The key is never taken on trust from the store: it embeds the
+// engine version, so results computed by an older engine can never satisfy
+// a newer server. op names the caller in the unknown-kind error.
+func decodeSpec(op, kind string, spec []byte) (scen *scenario.Scenario, sp *SweepSpec, key string, err error) {
+	switch kind {
+	case kindSim:
+		if scen, err = scenario.Load(bytes.NewReader(spec)); err != nil {
+			return nil, nil, "", err
+		}
+		key, err = ScenarioKey(scen)
+		return scen, nil, key, err
+	case kindSweep:
+		sp = new(SweepSpec)
+		dec := json.NewDecoder(bytes.NewReader(spec))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(sp); err != nil {
+			return nil, nil, "", err
+		}
+		sp.normalise()
+		if err = sp.Validate(); err != nil {
+			return nil, nil, "", err
+		}
+		key, err = SweepKey(sp)
+		return nil, sp, key, err
+	default:
+		return nil, nil, "", fmt.Errorf("serve: %s: unknown job kind %q", op, kind)
+	}
 }
 
 // registerLocked records the job and prunes old terminal records beyond

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
-
-	"ccredf/scenario"
 
 	"ccredf/internal/sweep"
 )
@@ -71,16 +68,7 @@ func (s *Server) StealQueued(lease time.Duration) (*StolenJob, bool) {
 			s.finalizeJob(j, StateDone, b, nil)
 			continue
 		}
-		var spec []byte
-		var err error
-		switch j.kind {
-		case kindSim:
-			spec, err = json.Marshal(j.scen)
-		case kindSweep:
-			spec, err = json.Marshal(j.sweepSpec)
-		default:
-			err = fmt.Errorf("serve: steal: unknown job kind %q", j.kind)
-		}
+		spec, err := j.encodeSpec("steal")
 		if err != nil {
 			s.finalizeJob(j, StateFailed, nil, err)
 			continue
@@ -185,36 +173,16 @@ func (s *Server) ExecuteSpec(ctx context.Context, kind string, spec []byte, time
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	switch kind {
-	case kindSim:
-		scen, err := scenario.Load(bytes.NewReader(spec))
-		if err != nil {
-			return "", nil, err
-		}
-		if key, err = ScenarioKey(scen); err != nil {
-			return "", nil, err
-		}
-		result, err = s.simulateScenario(ctx, scen, key, nil)
-		return key, result, err
-	case kindSweep:
-		var sp SweepSpec
-		dec := json.NewDecoder(bytes.NewReader(spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
-			return "", nil, err
-		}
-		sp.normalise()
-		if err := sp.Validate(); err != nil {
-			return "", nil, err
-		}
-		if key, err = SweepKey(&sp); err != nil {
-			return "", nil, err
-		}
-		result, err = s.runSweepSpec(ctx, &sp, key)
-		return key, result, err
-	default:
-		return "", nil, fmt.Errorf("serve: execute: unknown job kind %q", kind)
+	scen, sp, key, err := decodeSpec("execute", kind, spec)
+	if err != nil {
+		return "", nil, err
 	}
+	if scen != nil {
+		result, err = s.simulateScenario(ctx, scen, key, nil)
+	} else {
+		result, err = s.runSweepSpec(ctx, sp, key)
+	}
+	return key, result, err
 }
 
 // runSweepSpec is the local sweep runner shared by ExecuteSpec; stolen

@@ -3,11 +3,7 @@ package ccredf
 import (
 	"fmt"
 
-	"ccredf/internal/ccfpr"
-	"ccredf/internal/core"
 	"ccredf/internal/network"
-	"ccredf/internal/sched"
-	"ccredf/internal/tdma"
 	"ccredf/internal/topology"
 )
 
@@ -85,44 +81,12 @@ func NewMulti(cfg MultiConfig) (*MultiNetwork, error) {
 	}
 	ringCfgs := make([]network.Config, len(cfg.Rings))
 	for i, rc := range cfg.Rings {
-		if rc.Params.Nodes == 0 {
-			return nil, fmt.Errorf("ccredf: rings[%d]: zero-value Config; start from DefaultConfig", i)
-		}
-		mode := sched.Map5Bit
-		if rc.ExactEDF {
-			mode = sched.MapExact
-		}
-		var proto core.Protocol
-		var err error
-		switch rc.Protocol {
-		case CCREDF:
-			proto, err = core.NewArbiter(rc.Params.Nodes, mode, !rc.DisableSpatialReuse)
-		case CCFPR:
-			proto, err = ccfpr.NewArbiter(rc.Params.Nodes, !rc.DisableSpatialReuse)
-		case TDMA:
-			proto, err = tdma.NewArbiter(rc.Params.Nodes, !rc.DisableSpatialReuse)
-		default:
-			err = fmt.Errorf("unknown protocol %d", rc.Protocol)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ccredf: rings[%d]: %w", i, err)
-		}
 		ringMode := rc.Mode
 		if ringMode == nil {
 			ringMode = cfg.Mode
 		}
-		ringCfgs[i] = network.Config{
-			Params:            rc.Params,
-			Protocol:          proto,
-			DropLate:          rc.DropLate,
-			Reliable:          rc.Reliable,
-			LossProb:          rc.LossProb,
-			CorruptProb:       rc.CorruptProb,
-			Seed:              rc.Seed,
-			SecondaryRequests: rc.SecondaryRequests,
-			FailMasterAt:      rc.FailMasterAt,
-			Faults:            rc.Faults,
-			Mode:              ringMode,
+		if ringCfgs[i], err = engineConfig(rc, ringMode); err != nil {
+			return nil, fmt.Errorf("ccredf: rings[%d]: %w", i, err)
 		}
 	}
 	bridgeCap := 0
