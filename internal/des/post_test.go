@@ -7,6 +7,34 @@ import (
 	"ccredf/internal/timing"
 )
 
+func TestPostOrdersWithAt(t *testing.T) {
+	// Queued Posts and an inline executor's reserved points interleave by
+	// time, whatever order they were scheduled in.
+	s := New()
+	var got []int
+	type point struct {
+		when timing.Time
+		seq  uint64
+		id   int
+	}
+	late := point{20, s.ReserveSeq(), 2}
+	s.Post(10, func(timing.Time) { got = append(got, 1) })
+	s.Post(30, func(timing.Time) { got = append(got, 3) })
+	early := point{5, s.ReserveSeq(), 0}
+	for _, p := range []point{early, late} {
+		for s.StepBefore(timing.Forever, p.when, p.seq) {
+		}
+		s.AdvanceTo(p.when)
+		got = append(got, p.id)
+	}
+	for s.StepUpTo(timing.Forever) {
+	}
+	want := []int{0, 1, 2, 3}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
 func TestPostTiesFIFOAcrossKinds(t *testing.T) {
 	// Queued events and reserved points share one sequence: at equal times
 	// a Post made before the reservation runs before the point, one made
