@@ -150,6 +150,18 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ccredf: %w", err)
 	}
+	inner, err := network.New(ncfg)
+	if err != nil {
+		return nil, err
+	}
+	return instrument(inner, cfg), nil
+}
+
+// instrument attaches the instrumentation cfg asks for to one ring's engine
+// and wraps it in the facade. Instrumentation rides on the protocol-event
+// pipeline: the control codec verifier always (it is cheap and must stay
+// silent), the rest as configured. Further observers attach through Attach.
+func instrument(inner *network.Network, cfg Config) *Network {
 	var tracer *trace.Tracer
 	if cfg.TraceCapacity != 0 {
 		capacity := cfg.TraceCapacity
@@ -158,13 +170,6 @@ func New(cfg Config) (*Network, error) {
 		}
 		tracer = trace.New(capacity)
 	}
-	inner, err := network.New(ncfg)
-	if err != nil {
-		return nil, err
-	}
-	// Instrumentation rides on the protocol-event pipeline: the control
-	// codec verifier always (it is cheap and must stay silent), the rest as
-	// configured. Further observers attach through Attach.
 	inner.AttachWireCheck()
 	if cfg.DataCheck {
 		inner.AttachDataCheck()
@@ -173,7 +178,7 @@ func New(cfg Config) (*Network, error) {
 		inner.AttachInvariantChecker()
 	}
 	inner.AttachTracer(tracer)
-	return &Network{Network: inner, cfg: cfg, tracer: tracer}, nil
+	return &Network{Network: inner, cfg: cfg, tracer: tracer}
 }
 
 // engineConfig translates one ring's facade Config into the engine's,

@@ -76,7 +76,7 @@ func (a *Arbiter) Arbitrate(reqs []core.Request, curMaster int) core.Outcome {
 		if req.Empty() {
 			continue
 		}
-		links := a.ring.PathLinks(req.Node, req.Dests)
+		links := req.Links
 		switch {
 		case !a.spatialReuse && booked > 0,
 			!a.ring.Feasible(req.Node, req.Dests, next),

@@ -57,7 +57,7 @@ func TestRoundRobinMaster(t *testing.T) {
 	master := 0
 	wantSequence := []int{1, 2, 3, 4, 0}
 	for _, want := range wantSequence {
-		out := a.Arbitrate(reqs, master)
+		out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), master)
 		if out.Master != want {
 			t.Fatalf("master after %d = %d, want %d (round robin)", master, out.Master, want)
 		}
@@ -73,7 +73,7 @@ func TestUpstreamBooksFirst(t *testing.T) {
 	reqs := empty(5)
 	reqs[1] = req(1, 18, ring.Node(3), 1) // lax message, upstream (paper Node 2... booking order from master 0: node 1 first)
 	reqs[2] = req(2, 31, ring.Node(3), 2) // urgent message, downstream
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if !out.Granted(1) {
 		t.Fatal("upstream lax request should book first under CC-FPR")
 	}
@@ -90,7 +90,7 @@ func TestPriorityInversionByClockPosition(t *testing.T) {
 	reqs[3] = req(3, 31, ring.Node(1), 1) // spans nodes 4, 0, 1
 	// Current master 4 → next master 0, which sits strictly inside the
 	// path 3→1. The message must be denied despite being alone.
-	out := a.Arbitrate(reqs, 4)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 4)
 	if out.Master != 0 {
 		t.Fatalf("next master = %d, want 0", out.Master)
 	}
@@ -99,7 +99,7 @@ func TestPriorityInversionByClockPosition(t *testing.T) {
 	}
 	// One slot later (master 0 → next 1): path 3→1 terminates at 1, the new
 	// master, which is allowed.
-	out = a.Arbitrate(reqs, 0)
+	out = a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if !out.Granted(3) {
 		t.Fatal("message should become feasible once the break leaves its path")
 	}
@@ -110,7 +110,7 @@ func TestMasterBooksLast(t *testing.T) {
 	reqs := empty(5)
 	reqs[0] = req(0, 31, ring.Node(1), 1) // current master (urgent), books last; needs link 0
 	reqs[3] = req(3, 2, ring.Node(1), 2)  // passes earlier, books links 3,4,0
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if !out.Granted(3) {
 		t.Fatal("node 3 books first in collection order")
 	}
@@ -124,7 +124,7 @@ func TestSpatialReuseDisabledSingleGrant(t *testing.T) {
 	reqs := empty(5)
 	reqs[1] = req(1, 20, ring.Node(2), 1)
 	reqs[3] = req(3, 20, ring.Node(4), 2)
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if len(out.Grants) != 1 {
 		t.Fatalf("no-reuse mode granted %d requests", len(out.Grants))
 	}
@@ -138,7 +138,7 @@ func TestNonOverlappingBothGranted(t *testing.T) {
 	reqs := empty(5)
 	reqs[1] = req(1, 20, ring.Node(2), 1) // link 1
 	reqs[3] = req(3, 20, ring.Node(4), 2) // link 3
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if len(out.Grants) != 2 {
 		t.Fatalf("want both disjoint requests granted, got %+v", out)
 	}
@@ -175,7 +175,7 @@ func TestInvariantsProperty(t *testing.T) {
 			}
 		}
 		cm := int(curMaster) % n
-		out := a.Arbitrate(reqs, cm)
+		out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), cm)
 		if out.Master != r.Next(cm) {
 			return false
 		}
@@ -210,6 +210,7 @@ func BenchmarkArbitrate(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = req(i, uint8(17+i%15), ring.Node((i+3)%16), int64(i))
 	}
+	core.FillLinks(a.Ring(), reqs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = a.Arbitrate(reqs, i%16)

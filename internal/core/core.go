@@ -22,6 +22,13 @@ import (
 // Request is one node's transmission request for the coming slot: the
 // decoded content of its collection-phase entry (wire.Request) plus the
 // bookkeeping the simulator needs to map a grant back to a queued message.
+//
+// Links is the entry's link reservation field (wire.Request.Reserve): the
+// segment ring.PathLinks(Node, Dests) the transmission would occupy. The
+// arbiters and the wire check read it instead of recomputing the segment,
+// so a non-empty request must carry it; the sampling node computes it once
+// per queue-head change (see package node), and slates built elsewhere fill
+// it with FillLinks. The §6 invariant checker recomputes it independently.
 type Request struct {
 	// Node is the requesting node's index.
 	Node int
@@ -36,10 +43,27 @@ type Request struct {
 	Dests ring.NodeSet
 	// MsgID identifies the message the request is for.
 	MsgID int64
+	// Links is the link reservation field: the segment of links the
+	// transmission occupies (empty for an empty request).
+	Links ring.LinkSet
 }
 
 // Empty reports whether the node has nothing to send.
 func (r Request) Empty() bool { return r.Prio == sched.PrioNothing || r.Dests.Empty() }
+
+// FillLinks sets the reservation field of every request in reqs to its
+// segment on ring r (none for an empty request) and returns reqs. It is for
+// slates assembled outside the slot engine, whose nodes fill the field as
+// they sample.
+func FillLinks(r ring.Ring, reqs []Request) []Request {
+	for i := range reqs {
+		reqs[i].Links = 0
+		if !reqs[i].Empty() {
+			reqs[i].Links = r.PathLinks(reqs[i].Node, reqs[i].Dests)
+		}
+	}
+	return reqs
+}
 
 // Grant is one accepted transmission for the coming slot.
 type Grant struct {
@@ -319,26 +343,26 @@ func (a *Arbiter) Arbitrate(reqs []Request, curMaster int) Outcome {
 	}
 	// The new master's own request is always feasible by construction
 	// (≤ N−1 hops, never crosses its own break).
-	mr := reqs[top.index()]
+	mr := &reqs[top.index()]
 	master := mr.Node
-	used := a.ring.PathLinks(master, mr.Dests)
+	used := mr.Links
 	granted := ring.NodeSet(0).Add(master)
 	grants := append(a.grants[:0], Grant{Node: master, Dests: mr.Dests, Links: used, MsgID: mr.MsgID})
 	if a.spatialReuse {
 		// The candidates are the requests grantable beside the master
 		// alone. A node transmits at most one packet per slot, so the
-		// master's other request (a secondary) is never one.
+		// master's other request (a secondary) is never one. Another
+		// node's segment crosses the clock break (ring.Feasible fails)
+		// exactly when it uses the link leaving the master, so that link
+		// joins the master's own as blocked.
 		cands := a.cands[:0]
+		blocked := used.Union(ring.Link(master))
 		for _, k := range keys {
 			r := &reqs[k.index()]
-			if r.Node == master {
+			if r.Node == master || blocked.Overlaps(r.Links) {
 				continue
 			}
-			links := a.ring.PathLinks(r.Node, r.Dests)
-			if used.Overlaps(links) || !a.ring.Feasible(r.Node, r.Dests, master) {
-				continue
-			}
-			cands = append(cands, candidate{key: k, links: links})
+			cands = append(cands, candidate{key: k, links: r.Links})
 		}
 		for len(cands) > 0 {
 			best := 0

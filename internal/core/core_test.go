@@ -52,7 +52,7 @@ func TestHighestPriorityBecomesMaster(t *testing.T) {
 		rt(2, 31, 0, ring.Node(4), 2), // highest
 		rt(3, 25, 0, ring.Node(4), 3),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 2 {
 		t.Fatalf("Master = %d, want 2", out.Master)
 	}
@@ -81,7 +81,7 @@ func TestIndexBreaksTies(t *testing.T) {
 		rt(3, 31, 0, ring.Node(4), 1),
 		rt(1, 31, 0, ring.Node(2), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 1 {
 		t.Fatalf("tie should go to lower index: master = %d", out.Master)
 	}
@@ -95,7 +95,7 @@ func TestFig2Scenario(t *testing.T) {
 		rt(0, 31, 0, ring.Node(2), 1),
 		rt(3, 25, 0, ring.NodeSetOf(4, 0), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 0 {
 		t.Fatalf("Master = %d, want 0", out.Master)
 	}
@@ -113,7 +113,7 @@ func TestSpatialReuseDisabledGrantsOnlyMaster(t *testing.T) {
 		rt(0, 31, 0, ring.Node(2), 1),
 		rt(3, 25, 0, ring.NodeSetOf(4, 0), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if len(out.Grants) != 1 || out.Grants[0].Node != 0 {
 		t.Fatalf("analysis mode must grant exactly the master, got %+v", out)
 	}
@@ -129,7 +129,7 @@ func TestOverlappingSegmentDenied(t *testing.T) {
 		rt(1, 30, 0, ring.Node(2), 2), // link 1 — overlaps
 		rt(3, 29, 0, ring.Node(4), 3), // link 3 — disjoint
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if !out.Granted(0) || out.Granted(1) || !out.Granted(3) {
 		t.Fatalf("grants wrong: %+v", out)
 	}
@@ -142,7 +142,7 @@ func TestCrossingNewMasterDenied(t *testing.T) {
 		rt(2, 31, 0, ring.Node(3), 1),
 		rt(1, 30, 0, ring.Node(3), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 2 {
 		t.Fatalf("Master = %d", out.Master)
 	}
@@ -160,7 +160,7 @@ func TestPaperAntiExample(t *testing.T) {
 		rt(0, 20, 0, ring.Node(2), 1), // paper's Node 1, lax deadline
 		rt(1, 31, 0, ring.Node(2), 2), // paper's Node 2, very tight deadline
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 1 || !out.Granted(1) {
 		t.Fatalf("urgent downstream node must win: %+v", out)
 	}
@@ -174,7 +174,7 @@ func TestExactModeComparesDeadlines(t *testing.T) {
 		rt(1, 31, 100*timing.Microsecond, ring.Node(2), 1),
 		rt(3, 31, 50*timing.Microsecond, ring.Node(4), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 3 {
 		t.Fatalf("exact mode Master = %d, want 3 (earlier deadline)", out.Master)
 	}
@@ -186,7 +186,7 @@ func TestExactModeClassBandsStillApply(t *testing.T) {
 		{Node: 1, Class: sched.ClassBestEffort, Prio: 16, Deadline: 10, Dests: ring.Node(2), MsgID: 1},
 		{Node: 3, Class: sched.ClassRealTime, Prio: 17, Deadline: 1000, Dests: ring.Node(4), MsgID: 2},
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 3 {
 		t.Fatalf("RT must outrank BE in exact mode: master = %d", out.Master)
 	}
@@ -198,7 +198,7 @@ func TestExactModeTieBreaksByIndex(t *testing.T) {
 		rt(4, 31, 100, ring.Node(0), 1),
 		rt(2, 31, 100, ring.Node(3), 2),
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if out.Master != 2 {
 		t.Fatalf("deadline tie should go to lower index: %d", out.Master)
 	}
@@ -213,7 +213,7 @@ func TestBestEffortRidesAlongside(t *testing.T) {
 		rt(0, 31, 0, ring.Node(1), 1),
 		{Node: 2, Class: sched.ClassBestEffort, Prio: 9, Dests: ring.Node(4), MsgID: 2},
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if len(out.Grants) != 2 {
 		t.Fatalf("BE message should ride along: %+v", out)
 	}
@@ -226,7 +226,7 @@ func TestGrantedSetAndDenied(t *testing.T) {
 		rt(1, 30, 0, ring.Node(2), 2), // overlaps
 		rt(2, 29, 0, ring.Node(3), 3), // overlaps
 	}
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(FillLinks(a.ring, reqs), 0)
 	if got := out.GrantedSet(); got != ring.Node(0) {
 		t.Fatalf("GrantedSet = %v", got)
 	}
@@ -265,7 +265,7 @@ func TestArbitrationInvariantsProperty(t *testing.T) {
 				expectedMaster = i
 			}
 		}
-		out := a.Arbitrate(reqs, int(curMaster)%n)
+		out := a.Arbitrate(FillLinks(a.ring, reqs), int(curMaster)%n)
 
 		// Invariant 3: master is the highest-priority requester (lowest
 		// index on ties) and is always granted.
@@ -327,6 +327,7 @@ func BenchmarkArbitrate(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = rt(i, uint8(17+i%15), timing.Time(i), ring.Node((i+3)%16), int64(i))
 	}
+	FillLinks(a.ring, reqs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = a.Arbitrate(reqs, i%16)

@@ -279,7 +279,7 @@ func TestSelectionMatchesSortedWalk(t *testing.T) {
 	check := func(t *testing.T, a *Arbiter, reqs []Request, curMaster int, what string) {
 		t.Helper()
 		want := referenceArbitrate(a, reqs, curMaster)
-		got := a.Arbitrate(reqs, curMaster)
+		got := a.Arbitrate(FillLinks(a.ring, reqs), curMaster)
 		if got.Master != want.Master || !slices.Equal(got.Grants, want.Grants) || !slices.Equal(got.Denied, want.Denied) {
 			t.Fatalf("%s (master %d):\nselection %+v\nsorted walk %+v\nslate %+v", what, curMaster, got, want, reqs)
 		}
@@ -325,7 +325,7 @@ func TestArbitrateZeroAlloc(t *testing.T) {
 	for _, mode := range []sched.MapMode{sched.Map5Bit, sched.MapExact} {
 		a := mustArbiter(t, 32, mode, true)
 		reqs := randSlate(rng.New(3), 32, true, "prio")
-		a.Arbitrate(reqs, 0)
+		a.Arbitrate(FillLinks(a.ring, reqs), 0)
 		if allocs := testing.AllocsPerRun(100, func() { a.Arbitrate(reqs, 1) }); allocs != 0 {
 			t.Fatalf("%v: %v allocs per Arbitrate, want 0", mode, allocs)
 		}

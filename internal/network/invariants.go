@@ -51,9 +51,14 @@ func (c *invariantChecker) check(slot int64, reqs []core.Request, out core.Outco
 	// nodes); only indices with their `requested` bit set are meaningful.
 	var requested ring.NodeSet
 	var bestPrio [64]uint8
-	for _, req := range reqs {
+	for i, req := range reqs {
 		if req.Empty() {
 			continue
+		}
+		// The arbiters trust each request's reservation field; check it
+		// against the geometry independently.
+		if want := c.r.PathLinks(req.Node, req.Dests); req.Links != want {
+			violate("request %d of node %d reserves links %v, its segment is %v", i, req.Node, req.Links.Links(), want.Links())
 		}
 		requested = requested.Add(req.Node)
 		if req.Prio > bestPrio[req.Node] {
@@ -78,6 +83,9 @@ func (c *invariantChecker) check(slot int64, reqs []core.Request, out core.Outco
 			violate("node %d granted twice", g.Node)
 		}
 		granted = granted.Add(g.Node)
+		if want := c.r.PathLinks(g.Node, g.Dests); g.Links != want {
+			violate("grant for node %d occupies links %v, its segment is %v", g.Node, g.Links.Links(), want.Links())
+		}
 		if used.Overlaps(g.Links) {
 			violate("grant for node %d overlaps earlier grants (links %v)", g.Node, g.Links.Links())
 		}

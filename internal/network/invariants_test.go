@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"strings"
 	"testing"
 
 	"ccredf/internal/ccfpr"
@@ -123,5 +124,48 @@ func TestInvariantCheckerDetectsViolations(t *testing.T) {
 	}
 	if len(m.Violations) == 0 {
 		t.Fatal("violation descriptions missing")
+	}
+}
+
+// corruptLinks hands the wrapped arbiter a slate in which the first
+// non-empty request's reservation field is off by one link, the fault the
+// checker's independent recomputation of each request's segment exists for.
+type corruptLinks struct{ core.Protocol }
+
+func (c corruptLinks) Arbitrate(reqs []core.Request, curMaster int) core.Outcome {
+	for i := range reqs {
+		if !reqs[i].Empty() {
+			reqs[i].Links ^= ring.Link(0)
+			break
+		}
+	}
+	return c.Protocol.Arbitrate(reqs, curMaster)
+}
+
+// TestInvariantCheckerRecomputesLinks checks that a request slate whose
+// reservation field disagrees with the request's segment is flagged, for
+// every protocol, with and without secondary requests.
+func TestInvariantCheckerRecomputesLinks(t *testing.T) {
+	p := timing.DefaultParams(8)
+	edf, _ := core.NewArbiter(8, sched.Map5Bit, true)
+	fpr, _ := ccfpr.NewArbiter(8, true)
+	td, _ := tdma.NewArbiter(8, true)
+	for _, proto := range []core.Protocol{edf, fpr, td} {
+		for _, sec := range []bool{false, true} {
+			net, err := network.New(network.Config{Params: p, Protocol: corruptLinks{proto}, SecondaryRequests: sec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.AttachInvariantChecker()
+			net.SubmitMessage(sched.ClassRealTime, 1, ring.Node(3), 2, timing.Millisecond)
+			net.RunSlots(5)
+			m := net.Metrics()
+			if m.InvariantViolations.Value() == 0 || len(m.Violations) == 0 {
+				t.Fatalf("%s secondaries=%v: corrupted reservation field not flagged", proto.Name(), sec)
+			}
+			if got := m.Violations[0]; !strings.Contains(got, "reserves links") {
+				t.Fatalf("%s secondaries=%v: first violation %q, want the reservation mismatch", proto.Name(), sec, got)
+			}
+		}
 	}
 }

@@ -221,20 +221,22 @@ type Network struct {
 	slot      int64
 	master    int
 	slotStart timing.Time
-	pending   core.Outcome   // grants to execute at the next slot start
-	sampled   []core.Request // collection-phase requests of the current slot
-	sampled2  []core.Request // secondary requests (extension), may be nil
-	next      core.Outcome   // arbitration result awaiting slot end
+	pending   core.Outcome // grants to execute at the next slot start
+	next      core.Outcome // arbitration result awaiting slot end
+
+	// sampled is the collection-phase request slate of the current slot:
+	// node i's request at index i and, with the secondary-request
+	// extension, its secondary at index N+i. Each sample writes its node's
+	// entries in place, and every round samples all N nodes before it
+	// arbitrates, so the slate needs no reset.
+	sampled []core.Request
 
 	// Hot-path memory discipline (DESIGN.md §9): the slot loop reuses all of
-	// its per-round storage. sampledSpare/sampled2Spare double-buffer the
-	// request slates (arbitrate swaps and resets in place, so the slate an
-	// arbitration event exposed stays intact until the next round), combined
-	// is the 2N scratch for the secondary-request extension, and
-	// freeDeliveries pools the in-flight fragment-delivery events.
+	// its per-round storage. sampledSpare double-buffers the request slate
+	// (arbitrate swaps the two, so the slate an arbitration event exposed
+	// stays intact until the next round), and freeDeliveries pools the
+	// in-flight fragment-delivery events.
 	sampledSpare   []core.Request
-	sampled2Spare  []core.Request
-	combined       []core.Request
 	freeDeliveries *delivery
 
 	// Inline slot execution (DESIGN.md §9). The slot's fixed schedule — N
@@ -364,6 +366,10 @@ func New(cfg Config) (*Network, error) {
 	if sim == nil {
 		sim = des.New()
 	}
+	slate := r.Nodes()
+	if cfg.SecondaryRequests {
+		slate *= 2
+	}
 	n := &Network{
 		cfg:          cfg,
 		params:       cfg.Params,
@@ -374,8 +380,8 @@ func New(cfg Config) (*Network, error) {
 		adm:          sched.NewAdmission(cfg.Params),
 		rnd:          rng.New(cfg.Seed),
 		metrics:      newMetrics(r.Nodes()),
-		sampled:      make([]core.Request, r.Nodes()),
-		sampledSpare: make([]core.Request, r.Nodes()),
+		sampled:      make([]core.Request, slate),
+		sampledSpare: make([]core.Request, slate),
 		conns:        make(map[int]*connState),
 		pts:          make([]enginePoint, 0, r.Nodes()+2),
 	}
@@ -395,23 +401,12 @@ func New(cfg Config) (*Network, error) {
 		n.modeCtl = ctl
 		n.adm.SetModeFunc(ctl.Mode)
 	}
-	if cfg.SecondaryRequests {
-		n.sampled2 = make([]core.Request, r.Nodes())
-		n.sampled2Spare = make([]core.Request, r.Nodes())
-		n.combined = make([]core.Request, 0, 2*r.Nodes())
-	}
 	for i := 0; i < r.Nodes(); i++ {
-		nd := node.New(i)
+		nd := node.New(r, i)
 		if cfg.SecondaryRequests {
-			nd.EnableSecondaryIndex(r)
+			nd.EnableSecondaryIndex()
 		}
 		n.nodes = append(n.nodes, nd)
-		n.sampled[i].Node = i
-		n.sampledSpare[i].Node = i
-		if n.sampled2 != nil {
-			n.sampled2[i].Node = i
-			n.sampled2Spare[i].Node = i
-		}
 	}
 	// Built-in accounting subscribes first so Metrics always fills; the
 	// caller's observers follow in the order given.
@@ -1006,12 +1001,14 @@ func (n *Network) deliver(m *sched.Message, g core.Grant, now timing.Time) {
 	}
 }
 
-// sample snapshots one node's request as the collection packet passes it.
+// sample snapshots one node's request (and secondary) into the slate as the
+// collection packet passes it.
 func (n *Network) sample(idx int, now timing.Time) {
+	sec := len(n.sampled) > len(n.nodes)
 	if n.dead.Contains(idx) {
 		n.sampled[idx] = core.Request{Node: idx}
-		if n.sampled2 != nil {
-			n.sampled2[idx] = core.Request{Node: idx}
+		if sec {
+			n.sampled[len(n.nodes)+idx] = core.Request{Node: idx}
 		}
 		if n.detectPending.Contains(idx) {
 			// The collection packet passing a silent station is how the
@@ -1022,13 +1019,13 @@ func (n *Network) sample(idx int, now timing.Time) {
 		}
 		return
 	}
-	req, dropped := n.nodes[idx].Request(now, n.tt.SlotTime, n.cfg.DropLate)
-	n.sampled[idx] = req
-	if n.sampled2 != nil {
-		n.sampled2[idx] = n.nodes[idx].SecondaryRequest(now, n.tt.SlotTime)
+	nd := n.nodes[idx]
+	dropped := nd.Request(&n.sampled[idx], now, n.tt.SlotTime, n.cfg.DropLate)
+	if sec {
+		nd.SecondaryRequest(&n.sampled[len(n.nodes)+idx], now, n.tt.SlotTime)
 	}
 	if n.pipe.Wants(obs.KindRequestSampled) {
-		n.pipe.Emit(obs.Event{Kind: obs.KindRequestSampled, Time: now, Slot: n.slot, Node: idx, Req: req})
+		n.pipe.Emit(obs.Event{Kind: obs.KindRequestSampled, Time: now, Slot: n.slot, Node: idx, Req: n.sampled[idx]})
 	}
 	for _, m := range dropped {
 		n.pipe.Emit(obs.Event{Kind: obs.KindLateDrop, Time: now, Slot: n.slot, Node: idx, Msg: m})
@@ -1061,14 +1058,9 @@ func (n *Network) arbitrate(now timing.Time) {
 		n.collDropped = true
 		return
 	}
+	// Indices 0..N−1 of the slate keep the per-node layout the baseline
+	// protocols use; the extension's secondaries follow.
 	reqs := n.sampled
-	if n.sampled2 != nil {
-		// Extension: append the secondary requests after the primaries;
-		// indices 0..N−1 keep the per-node layout baseline protocols use.
-		// combined is network-owned scratch, rebuilt in place every round.
-		n.combined = append(append(n.combined[:0], n.sampled...), n.sampled2...)
-		reqs = n.combined
-	}
 	n.next = n.proto.Arbitrate(reqs, n.master)
 	// One event carries the whole round: the sampled requests and the full
 	// outcome. The codec verifiers, the invariant checker and the tracer
@@ -1081,18 +1073,10 @@ func (n *Network) arbitrate(now timing.Time) {
 			Node: n.master, Peer: n.next.Master, Outcome: &n.next, Requests: reqs,
 		})
 	}
-	// Swap in the spare slate for the next collection round, resetting it in
-	// place. The slate just emitted stays untouched until the round after.
+	// Swap in the spare slate for the next collection round, which
+	// overwrites every entry before it arbitrates. The slate just emitted
+	// stays untouched until the round after.
 	n.sampled, n.sampledSpare = n.sampledSpare, n.sampled
-	for i := range n.sampled {
-		n.sampled[i] = core.Request{Node: i}
-	}
-	if n.sampled2 != nil {
-		n.sampled2, n.sampled2Spare = n.sampled2Spare, n.sampled2
-		for i := range n.sampled2 {
-			n.sampled2[i] = core.Request{Node: i}
-		}
-	}
 }
 
 // endSlot stops the clock, hands the master role over and schedules the next

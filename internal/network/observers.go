@@ -50,7 +50,8 @@ func (n *Network) AttachDataCheck() {
 
 // AttachInvariantChecker subscribes the protocol-invariant verifier of
 // DESIGN.md §6 (link-disjoint grants, no clock-break crossing, master
-// dominance, grant/deny partition). Violations count in
+// dominance, grant/deny partition, reservation fields that match each
+// request's and grant's segment). Violations count in
 // Metrics.InvariantViolations with the first few recorded in
 // Metrics.Violations.
 func (n *Network) AttachInvariantChecker() {
@@ -152,8 +153,8 @@ func (w *wireChecker) OnEvent(e *obs.Event) {
 	}
 	reqs := e.Requests
 	if len(reqs) > w.r.Nodes() {
-		// With the secondary-request extension the combined slice appends
-		// the secondaries after the per-node primaries; the baseline
+		// With the secondary-request extension the slate holds the
+		// secondaries after the per-node primaries; the baseline
 		// collection packet carries only the first N entries.
 		reqs = reqs[:w.r.Nodes()]
 	}
@@ -173,11 +174,7 @@ func (w *wireChecker) checkCollection(reqs []core.Request) {
 			w.c.Requests[i] = wire.Request{}
 			continue
 		}
-		w.c.Requests[i] = wire.Request{
-			Prio:    r.Prio,
-			Reserve: w.r.PathLinks(r.Node, r.Dests),
-			Dests:   r.Dests,
-		}
+		w.c.Requests[i] = wire.Request{Prio: r.Prio, Reserve: r.Links, Dests: r.Dests}
 	}
 	if err := wire.EncodeCollectionInto(&w.enc, w.c, w.r.Nodes()); err != nil {
 		w.errs.Inc()

@@ -2,6 +2,19 @@
 // local message queue, the request it contributes to the collection phase,
 // and the bookkeeping that maps a grant back to a queued message when the
 // distribution packet arrives.
+//
+// A node's collection entry is a cached value. The entry — priority, link
+// reservation, destinations — changes only when the queue's content changes
+// (sched.Queue.Gen) or the head's logarithmic laxity band ticks over
+// (sched.PriorityUntil), so the node keeps its last primary and secondary
+// request with the queue generation, slot length and time interval
+// [from, until) they are exact for, and rebuilds one only when a sample
+// falls outside them. Only the priority depends on time: a queued message's
+// class, deadline, destinations and ID never change while it is queued. A
+// real-time head's interval also ends at Deadline+1, the first instant
+// DropLate would discard it. The cache is keyed on the slot length but not
+// on Request's dropLate flag, which must be the same on every call (the
+// owning network's DropLate).
 package node
 
 import (
@@ -16,7 +29,10 @@ import (
 // Node is one ring station. Create with New.
 type Node struct {
 	index int
+	ring  ring.Ring
 	queue sched.Queue
+	// prim and sec cache the last Request and SecondaryRequest answers.
+	prim, sec entry
 
 	// Enqueued counts messages ever submitted at this node.
 	Enqueued int64
@@ -26,14 +42,30 @@ type Node struct {
 	LateDropped int64
 }
 
-// New returns a node with the given ring index.
-func New(index int) *Node { return &Node{index: index} }
+// entry is a cached collection-phase request: req is the exact answer for
+// any sample at a time in [from, until) while the queue stays at generation
+// gen and the slot length is slot. The zero value holds nothing (its
+// interval is empty).
+type entry struct {
+	req         core.Request
+	gen         uint64
+	slot        timing.Time
+	from, until timing.Time
+}
+
+// valid reports whether the cached request is exact for a sample at now.
+func (e *entry) valid(gen uint64, now, slot timing.Time) bool {
+	return e.gen == gen && e.slot == slot && e.from <= now && now < e.until
+}
+
+// New returns a node with the given index on ring r.
+func New(r ring.Ring, index int) *Node { return &Node{index: index, ring: r} }
 
 // EnableSecondaryIndex switches on the queue's per-span index so
 // SecondaryRequest can answer in O(ring size). The owning network enables it
 // exactly when the secondary-request extension is configured; without it
 // SecondaryRequest always returns an empty request.
-func (n *Node) EnableSecondaryIndex(r ring.Ring) { n.queue.EnableSecondaryIndex(r) }
+func (n *Node) EnableSecondaryIndex() { n.queue.EnableSecondaryIndex(n.ring) }
 
 // Index returns the node's position on the ring.
 func (n *Node) Index() int { return n.index }
@@ -57,56 +89,71 @@ func (n *Node) Enqueue(m *sched.Message) error {
 	return nil
 }
 
-// Request returns this node's collection-phase request at time now: the
-// head of the local queue mapped to a wire priority (Table 1), or an empty
-// request when the queue is empty. When dropLate is set, already-late
-// real-time messages are discarded instead of requested; the dropped
-// messages are returned so the caller can account for them.
-func (n *Node) Request(now, slot timing.Time, dropLate bool) (core.Request, []*sched.Message) {
-	var dropped []*sched.Message
-	for {
-		head := n.queue.Peek()
-		if head == nil {
-			return core.Request{Node: n.index}, dropped
-		}
-		if dropLate && head.Class == sched.ClassRealTime && head.Deadline < now {
-			n.queue.Pop()
-			n.LateDropped++
-			dropped = append(dropped, head)
-			continue
-		}
-		return core.Request{
-			Node:     n.index,
-			Class:    head.Class,
-			Prio:     sched.MapPriority(head.Class, head.Laxity(now), slot),
-			Deadline: head.Deadline,
-			Dests:    head.Dests,
-			MsgID:    head.ID,
-		}, dropped
+// Request writes this node's collection-phase request at time now into dst:
+// the head of the local queue mapped to a wire priority (Table 1), or an
+// empty request when the queue is empty. When dropLate is set,
+// already-late real-time messages are discarded instead of requested; the
+// dropped messages are returned so the caller can account for them (nil
+// when none were dropped, which is every sample served from the cache).
+func (n *Node) Request(dst *core.Request, now, slot timing.Time, dropLate bool) []*sched.Message {
+	if n.prim.valid(n.queue.Gen(), now, slot) {
+		*dst = n.prim.req
+		return nil
 	}
+	return n.refill(dst, now, slot, dropLate)
 }
 
-// SecondaryRequest returns a request for the node's best queued message
+// refill recomputes the primary entry at now and writes it into dst.
+func (n *Node) refill(dst *core.Request, now, slot timing.Time, dropLate bool) []*sched.Message {
+	var dropped []*sched.Message
+	head := n.queue.Peek()
+	for dropLate && head != nil && head.Class == sched.ClassRealTime && head.Deadline < now {
+		n.queue.Pop()
+		n.LateDropped++
+		dropped = append(dropped, head)
+		head = n.queue.Peek()
+	}
+	n.prim = n.entryFor(head, now, slot)
+	if head != nil && head.Class == sched.ClassRealTime && head.Deadline >= now && head.Deadline < n.prim.until {
+		// From Deadline+1 on, DropLate discards this head instead.
+		n.prim.until = head.Deadline + 1
+	}
+	*dst = n.prim.req
+	return dropped
+}
+
+// SecondaryRequest writes into dst a request for the node's best queued message
 // whose link segment is a strict subset of the head's — the protocol
 // extension in which each node advertises two candidates per collection
 // round so the master can pack spatial reuse better. (A runner-up whose
 // segment covers the head's can never be granted when the head is denied,
-// so it is not worth the bits; see Queue.SecondDistinct.) It returns an
+// so it is not worth the bits; see Queue.SecondDistinct.) It writes an
 // empty request when no such message is queued or the secondary index is
 // not enabled.
-func (n *Node) SecondaryRequest(now, slot timing.Time) core.Request {
-	second := n.queue.SecondDistinct()
-	if second == nil {
-		return core.Request{Node: n.index}
+func (n *Node) SecondaryRequest(dst *core.Request, now, slot timing.Time) {
+	if !n.sec.valid(n.queue.Gen(), now, slot) {
+		n.sec = n.entryFor(n.queue.SecondDistinct(), now, slot)
 	}
-	return core.Request{
-		Node:     n.index,
-		Class:    second.Class,
-		Prio:     sched.MapPriority(second.Class, second.Laxity(now), slot),
-		Deadline: second.Deadline,
-		Dests:    second.Dests,
-		MsgID:    second.ID,
+	*dst = n.sec.req
+}
+
+// entryFor builds the cache entry advertising m at now (an empty request
+// when m is nil), exact until its priority can next change.
+func (n *Node) entryFor(m *sched.Message, now, slot timing.Time) entry {
+	e := entry{req: core.Request{Node: n.index}, gen: n.queue.Gen(), slot: slot, from: now, until: timing.Forever}
+	if m != nil {
+		e.req = core.Request{
+			Node:     n.index,
+			Class:    m.Class,
+			Prio:     sched.MapPriority(m.Class, m.Laxity(now), slot),
+			Deadline: m.Deadline,
+			Dests:    m.Dests,
+			MsgID:    m.ID,
+			Links:    n.ring.PathLinks(n.index, m.Dests),
+		}
+		e.until = sched.PriorityUntil(m.Class, m.Deadline, now, slot)
 	}
+	return e
 }
 
 // Grant consumes one granted slot for the message with the given ID: the

@@ -3,12 +3,16 @@ package node
 import (
 	"testing"
 
+	"ccredf/internal/core"
 	"ccredf/internal/ring"
 	"ccredf/internal/sched"
 	"ccredf/internal/timing"
 )
 
 const slot = 5 * timing.Microsecond
+
+// ring8 is the 8-node ring the tests' nodes sit on.
+var ring8 = ring.MustNew(8)
 
 func msg(id int64, src int, class sched.Class, deadline timing.Time, slots int) *sched.Message {
 	return &sched.Message{
@@ -18,7 +22,7 @@ func msg(id int64, src int, class sched.Class, deadline timing.Time, slots int) 
 }
 
 func TestEnqueueValidation(t *testing.T) {
-	n := New(2)
+	n := New(ring8, 2)
 	if err := n.Enqueue(msg(1, 3, sched.ClassRealTime, 100, 1)); err == nil {
 		t.Fatal("accepted message with wrong source")
 	}
@@ -40,20 +44,20 @@ func TestEnqueueValidation(t *testing.T) {
 }
 
 func TestRequestEmptyQueue(t *testing.T) {
-	n := New(0)
-	req, dropped := n.Request(0, slot, false)
+	n := New(ring8, 0)
+	req, dropped := sampleReq(n, 0, slot, false)
 	if !req.Empty() || req.Node != 0 || dropped != nil {
 		t.Fatalf("empty queue request = %+v", req)
 	}
 }
 
 func TestRequestHeadMapping(t *testing.T) {
-	n := New(1)
+	n := New(ring8, 1)
 	m := msg(7, 1, sched.ClassRealTime, 100*slot, 2)
 	if err := n.Enqueue(m); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := n.Request(98*slot, slot, false) // laxity 2 slots
+	req, _ := sampleReq(n, 98*slot, slot, false) // laxity 2 slots
 	if req.MsgID != 7 || req.Class != sched.ClassRealTime {
 		t.Fatalf("request = %+v", req)
 	}
@@ -67,22 +71,22 @@ func TestRequestHeadMapping(t *testing.T) {
 }
 
 func TestRequestPrefersHigherClass(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	_ = n.Enqueue(msg(1, 0, sched.ClassNonRealTime, timing.Forever, 1))
 	_ = n.Enqueue(msg(2, 0, sched.ClassBestEffort, 500*slot, 1))
 	_ = n.Enqueue(msg(3, 0, sched.ClassRealTime, 900*slot, 1))
-	req, _ := n.Request(0, slot, false)
+	req, _ := sampleReq(n, 0, slot, false)
 	if req.MsgID != 3 {
 		t.Fatalf("head should be the RT message, got %d", req.MsgID)
 	}
 }
 
 func TestRequestDropLate(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	_ = n.Enqueue(msg(1, 0, sched.ClassRealTime, 10*slot, 1))  // late at t=20 slots
 	_ = n.Enqueue(msg(2, 0, sched.ClassRealTime, 15*slot, 1))  // late too
 	_ = n.Enqueue(msg(3, 0, sched.ClassRealTime, 100*slot, 1)) // alive
-	req, dropped := n.Request(20*slot, slot, true)
+	req, dropped := sampleReq(n, 20*slot, slot, true)
 	if len(dropped) != 2 {
 		t.Fatalf("dropped %d, want 2", len(dropped))
 	}
@@ -93,9 +97,9 @@ func TestRequestDropLate(t *testing.T) {
 		t.Fatalf("LateDropped = %d", n.LateDropped)
 	}
 	// Without dropLate, the late message is requested at max priority.
-	n2 := New(0)
+	n2 := New(ring8, 0)
 	_ = n2.Enqueue(msg(1, 0, sched.ClassRealTime, 10*slot, 1))
-	req, dropped = n2.Request(20*slot, slot, false)
+	req, dropped = sampleReq(n2, 20*slot, slot, false)
 	if req.MsgID != 1 || dropped != nil {
 		t.Fatalf("late message should still be requested: %+v", req)
 	}
@@ -105,16 +109,16 @@ func TestRequestDropLate(t *testing.T) {
 }
 
 func TestDropLateSparesBestEffort(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	_ = n.Enqueue(msg(1, 0, sched.ClassBestEffort, 10*slot, 1))
-	req, dropped := n.Request(20*slot, slot, true)
+	req, dropped := sampleReq(n, 20*slot, slot, true)
 	if req.MsgID != 1 || len(dropped) != 0 {
 		t.Fatal("late best-effort traffic should not be dropped")
 	}
 }
 
 func TestGrantConsumesFragments(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	m := msg(5, 0, sched.ClassRealTime, 1000*slot, 3)
 	_ = n.Enqueue(m)
 	for i := 1; i <= 2; i++ {
@@ -138,14 +142,14 @@ func TestGrantConsumesFragments(t *testing.T) {
 }
 
 func TestGrantUnknownMessage(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	if n.Grant(99) != nil {
 		t.Fatal("grant for unknown message should be nil")
 	}
 }
 
 func TestRestoreReinserts(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	m := msg(5, 0, sched.ClassRealTime, 1000*slot, 1)
 	_ = n.Enqueue(m)
 	if n.Grant(5) == nil || n.QueueLen() != 0 {
@@ -174,7 +178,7 @@ func TestRestoreReinserts(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	_ = n.Enqueue(msg(1, 0, sched.ClassRealTime, 100, 1))
 	if !n.Cancel(1) {
 		t.Fatal("Cancel failed")
@@ -185,7 +189,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestQueuedInspection(t *testing.T) {
-	n := New(0)
+	n := New(ring8, 0)
 	_ = n.Enqueue(msg(1, 0, sched.ClassRealTime, 100, 1))
 	_ = n.Enqueue(msg(2, 0, sched.ClassRealTime, 200, 1))
 	if len(n.Queued()) != 2 {
@@ -194,4 +198,17 @@ func TestQueuedInspection(t *testing.T) {
 	if n.Index() != 0 {
 		t.Fatal("Index() wrong")
 	}
+}
+
+// sampleReq and sampleSec return what Request and SecondaryRequest write.
+func sampleReq(n *Node, now, slot timing.Time, dropLate bool) (core.Request, []*sched.Message) {
+	var req core.Request
+	dropped := n.Request(&req, now, slot, dropLate)
+	return req, dropped
+}
+
+func sampleSec(n *Node, now, slot timing.Time) core.Request {
+	var req core.Request
+	n.SecondaryRequest(&req, now, slot)
+	return req
 }

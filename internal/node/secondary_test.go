@@ -12,31 +12,27 @@ import (
 // the configuration the network uses when SecondaryRequests is on.
 func secNode(t *testing.T) *Node {
 	t.Helper()
-	r, err := ring.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(0)
-	n.EnableSecondaryIndex(r)
+	n := New(ring8, 0)
+	n.EnableSecondaryIndex()
 	return n
 }
 
 func TestSecondaryRequestEmptyAndSingle(t *testing.T) {
 	n := secNode(t)
-	if req := n.SecondaryRequest(0, slot); !req.Empty() {
+	if req := sampleSec(n, 0, slot); !req.Empty() {
 		t.Fatal("empty queue should yield empty secondary")
 	}
 	_ = n.Enqueue(msg(1, 0, sched.ClassRealTime, 100*slot, 1))
-	if req := n.SecondaryRequest(0, slot); !req.Empty() {
+	if req := sampleSec(n, 0, slot); !req.Empty() {
 		t.Fatal("single message should yield empty secondary")
 	}
 }
 
 func TestSecondaryRequestWithoutIndex(t *testing.T) {
-	n := New(0) // index never enabled
+	n := New(ring8, 0) // index never enabled
 	_ = n.Enqueue(msg(1, 0, sched.ClassRealTime, 10*slot, 1))
 	_ = n.Enqueue(msg(2, 0, sched.ClassRealTime, 20*slot, 1))
-	if req := n.SecondaryRequest(0, slot); !req.Empty() {
+	if req := sampleSec(n, 0, slot); !req.Empty() {
 		t.Fatal("secondary without index should be empty")
 	}
 }
@@ -54,7 +50,7 @@ func TestSecondaryRequestPicksDistinctSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req := n.SecondaryRequest(0, slot)
+	req := sampleSec(n, 0, slot)
 	if req.MsgID != 3 {
 		t.Fatalf("secondary = msg %d, want 3 (the best distinct segment)", req.MsgID)
 	}
@@ -82,14 +78,14 @@ func TestSecondaryRequestCoveringSegmentRejected(t *testing.T) {
 	covering.Dests = ring.Node(4) // span 4: distinct dests, covering segment
 	_ = n.Enqueue(head)
 	_ = n.Enqueue(covering)
-	if req := n.SecondaryRequest(0, slot); !req.Empty() {
+	if req := sampleSec(n, 0, slot); !req.Empty() {
 		t.Fatalf("covering-segment runner-up must not be advertised, got %+v", req)
 	}
 	// A strictly shorter segment alongside it is still offered.
 	short := msg(3, 0, sched.ClassRealTime, 30*slot, 1)
 	short.Dests = ring.Node(1) // span 1 ⊂ head's span 2
 	_ = n.Enqueue(short)
-	if req := n.SecondaryRequest(0, slot); req.MsgID != 3 {
+	if req := sampleSec(n, 0, slot); req.MsgID != 3 {
 		t.Fatalf("secondary = msg %d, want 3 (the shorter segment)", req.MsgID)
 	}
 }
@@ -101,7 +97,7 @@ func TestSecondaryRequestAllSameSegment(t *testing.T) {
 		m.Dests = ring.Node(5)
 		_ = n.Enqueue(m)
 	}
-	if req := n.SecondaryRequest(0, slot); !req.Empty() {
+	if req := sampleSec(n, 0, slot); !req.Empty() {
 		t.Fatalf("all-same-segment queue should yield empty secondary, got msg %d", req.MsgID)
 	}
 }
@@ -114,7 +110,7 @@ func TestSecondaryRequestCrossClass(t *testing.T) {
 	bem.Dests = ring.Node(2)
 	_ = n.Enqueue(rtm)
 	_ = n.Enqueue(bem)
-	req := n.SecondaryRequest(0, slot)
+	req := sampleSec(n, 0, slot)
 	if req.MsgID != 2 || req.Class != sched.ClassBestEffort {
 		t.Fatalf("secondary should be the BE message: %+v", req)
 	}

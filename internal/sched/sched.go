@@ -6,6 +6,7 @@ package sched
 
 import (
 	"math"
+	"math/bits"
 
 	"ccredf/internal/ring"
 	"ccredf/internal/timing"
@@ -121,6 +122,33 @@ func MapPriority(c Class, laxity, slot timing.Time) uint8 {
 	return uint8(PrioBEMax - k)
 }
 
+// PriorityUntil returns the first instant after now at which the wire
+// priority of a class-c message with the given absolute deadline can change:
+// MapPriority(c, deadline−t, slot) is the same for every t in [now, until),
+// and differs at until when until is finite. A message in laxity band
+// k ≥ 1 (⌊log₂(laxitySlots+1)⌋ = k, saturated at the top band) leaves it
+// at deadline − (2^k−1)·slot + 1, the first instant with fewer than 2^k−1
+// whole slots of laxity left. The priority never changes again — until is
+// timing.Forever — for non-real-time and empty classes, unbounded deadlines,
+// band 0 (less than one slot of laxity) and late messages.
+func PriorityUntil(c Class, deadline, now, slot timing.Time) timing.Time {
+	if (c != ClassRealTime && c != ClassBestEffort) || deadline == timing.Forever {
+		return timing.Forever
+	}
+	if slot <= 0 {
+		slot = 1
+	}
+	laxity := deadline - now
+	if laxity < slot {
+		return timing.Forever
+	}
+	k := bits.Len64(uint64(laxity/slot+1)) - 1
+	if k > maxLaxityIndex {
+		k = maxLaxityIndex
+	}
+	return deadline - (1<<k-1)*slot + 1
+}
+
 // PrioClass returns the traffic class that a wire priority level belongs to
 // (the inverse of Table 1's band allocation).
 func PrioClass(prio uint8) Class {
@@ -212,8 +240,8 @@ func before(a, b *Message) bool {
 // Remove and grant handling O(log n) even when saturation grows the queue
 // to thousands of messages. An optional per-span secondary index
 // (EnableSecondaryIndex) additionally keeps SecondDistinct O(ring size)
-// instead of O(queue length), and the queue caches its answer until the
-// next Push, Pop or Remove.
+// instead of O(queue length), and the queue caches its answer until its
+// content next changes.
 type Queue struct {
 	heap []*Message
 	next int64
@@ -223,13 +251,22 @@ type Queue struct {
 	// occupies a segment of exactly s links. Nil until EnableSecondaryIndex.
 	topo  ring.Ring
 	spans [][]*Message
-	// second is SecondDistinct's answer while secondOK holds. Only Push,
-	// Pop and Remove change the queue's content, and nothing changes the
-	// fields the answer depends on (Class, Deadline, Src, Dests) while a
-	// message is queued, so those three clear secondOK.
-	second   *Message
-	secondOK bool
+	// gen is the content generation: Push, Pop, Remove and
+	// EnableSecondaryIndex bump it, and nothing else changes what Peek or
+	// SecondDistinct answer, because no queued message's Class, Deadline,
+	// Src, Dests or ID changes while it is queued. second is SecondDistinct's
+	// answer at generation secondGen; the zero value holds the empty queue's
+	// answer, nil, at generation 0.
+	gen       uint64
+	second    *Message
+	secondGen uint64
 }
+
+// Gen returns the queue's content generation. Two calls that return the
+// same generation bracket no Push, Pop, Remove or EnableSecondaryIndex, so
+// anything derived from the queued messages' identities and ordering — the
+// head, SecondDistinct — is unchanged between them.
+func (q *Queue) Gen() uint64 { return q.gen }
 
 // EnableSecondaryIndex switches on the per-span index that backs
 // SecondDistinct, using r to map destination sets to link-segment spans.
@@ -243,6 +280,7 @@ func (q *Queue) EnableSecondaryIndex(r ring.Ring) {
 	}
 	q.topo = r
 	q.spans = make([][]*Message, r.Nodes())
+	q.gen++
 	for _, m := range q.heap {
 		q.spanPush(m)
 	}
@@ -261,7 +299,7 @@ func (q *Queue) Push(m *Message) {
 	m.pos = len(q.heap)
 	q.heap = append(q.heap, m)
 	q.byID[m.ID] = m
-	q.secondOK = false
+	q.gen++
 	q.up(m.pos)
 	if q.spans != nil {
 		q.spanPush(m)
@@ -307,10 +345,10 @@ func (q *Queue) Second() *Message {
 // same-segment and longer-segment runners-up that were dead on arrival.)
 //
 // The per-span index (EnableSecondaryIndex) answers the query in O(ring
-// size), and the answer is cached until the queue next changes; without the
-// index SecondDistinct returns nil.
+// size), and the answer is cached until the queue's generation (Gen) next
+// changes; without the index SecondDistinct returns nil.
 func (q *Queue) SecondDistinct() *Message {
-	if q.secondOK {
+	if q.secondGen == q.gen {
 		return q.second
 	}
 	head := q.Peek()
@@ -327,7 +365,7 @@ func (q *Queue) SecondDistinct() *Message {
 			best = c
 		}
 	}
-	q.second, q.secondOK = best, true
+	q.second, q.secondGen = best, q.gen
 	return best
 }
 
@@ -338,7 +376,7 @@ func (q *Queue) Pop() *Message {
 	}
 	head := q.heap[0]
 	delete(q.byID, head.ID)
-	q.secondOK = false
+	q.gen++
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
 	q.heap[0].pos = 0
@@ -361,7 +399,7 @@ func (q *Queue) Remove(id int64) bool {
 		return false
 	}
 	delete(q.byID, id)
-	q.secondOK = false
+	q.gen++
 	i := m.pos
 	last := len(q.heap) - 1
 	q.heap[i] = q.heap[last]

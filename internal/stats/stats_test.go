@@ -273,6 +273,18 @@ func TestHistogramQuantileExact(t *testing.T) {
 				}
 				return timing.Time(src.Intn(40)) * timing.Nanosecond
 			}
+		case 2: // several sealed blocks of wide samples: latencies of a few
+			// milliseconds, some a few picoseconds apart, some far apart
+			size = 1 + src.Intn(5*sampleBlock)
+			draw = func(src *rng.Source) timing.Time {
+				switch src.Intn(4) {
+				case 0:
+					return randSample(src)
+				case 1:
+					return 1<<32 + timing.Time(src.Intn(300))
+				}
+				return timing.Time(src.Intn(10)) * timing.Millisecond
+			}
 		}
 		for i := 0; i < size; i++ {
 			v := draw(src)
@@ -283,7 +295,7 @@ func TestHistogramQuantileExact(t *testing.T) {
 
 		other, otherRef := NewHistogram(), []timing.Time(nil)
 		otherSize := src.Intn(500)
-		if round%5 < 2 {
+		if round%5 < 3 {
 			otherSize = src.Intn(3 * sampleBlock)
 		}
 		for i := 0; i < otherSize; i++ {
@@ -306,6 +318,26 @@ func TestHistogramQuantileExact(t *testing.T) {
 		checkQuantiles(t, h, ref, "interleaved")
 		if int64(len(ref)) != h.Count() {
 			t.Fatalf("Count = %d, want %d", h.Count(), len(ref))
+		}
+	}
+}
+
+// TestSealedBlockSize pins the point of the sealed encoding: samples a few
+// microseconds apart cost under three bytes each once sealed, not the four
+// (or eight, from 2³² ps up) of a raw array.
+func TestSealedBlockSize(t *testing.T) {
+	src := rng.New(3)
+	for _, base := range []timing.Time{0, 5 * timing.Millisecond} {
+		var s samples
+		for i := 0; i < 8*sampleBlock; i++ {
+			s.add(base + timing.Time(src.Intn(100))*timing.Microsecond)
+		}
+		bytes := 0
+		for _, b := range s.sealed {
+			bytes += cap(b.data) + 8*cap(b.skip) + 2*cap(b.off) + 8
+		}
+		if per := float64(bytes) / float64(len(s.sealed)*sampleBlock); per >= 3 {
+			t.Fatalf("base %d: sealed samples cost %.2f bytes each, want < 3", base, per)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (a *Arbiter) Arbitrate(reqs []core.Request, curMaster int) core.Outcome {
 		if req.Empty() {
 			continue
 		}
-		links := a.ring.PathLinks(req.Node, req.Dests)
+		links := req.Links
 		switch {
 		case i > 0 && !a.spatialReuse,
 			!a.ring.Feasible(req.Node, req.Dests, owner),

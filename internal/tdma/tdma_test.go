@@ -41,7 +41,7 @@ func TestOwnershipRotatesRegardlessOfTraffic(t *testing.T) {
 	// Slot ownership cycles 1,2,3,0,1,… independent of priority.
 	want := []int{1, 2, 3, 0, 1}
 	for i, w := range want {
-		out := a.Arbitrate(reqs, 0)
+		out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 		if out.Master != w {
 			t.Fatalf("round %d: owner %d, want %d", i, out.Master, w)
 		}
@@ -53,7 +53,7 @@ func TestOwnerAlwaysGranted(t *testing.T) {
 	reqs := empty(4)
 	reqs[1] = req(1, 2, ring.Node(3), 1) // low priority, but owner of slot 1
 	reqs[2] = req(2, 31, ring.Node(3), 2)
-	out := a.Arbitrate(reqs, 0) // owner = 1
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0) // owner = 1
 	if !out.Granted(1) {
 		t.Fatal("slot owner must be granted")
 	}
@@ -68,7 +68,7 @@ func TestUrgentNonOwnerWaitsForItsSlot(t *testing.T) {
 	reqs[3] = req(3, 31, ring.Node(0), 1)
 	waits := 0
 	for {
-		out := a.Arbitrate(reqs, 0)
+		out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 		if out.Granted(3) {
 			break
 		}
@@ -87,7 +87,7 @@ func TestSpatialReuseAfterOwner(t *testing.T) {
 	reqs := empty(6)
 	reqs[1] = req(1, 10, ring.Node(2), 1) // owner of the next slot, link 1
 	reqs[3] = req(3, 10, ring.Node(4), 2) // disjoint, link 3
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if len(out.Grants) != 2 {
 		t.Fatalf("want owner + disjoint rider, got %+v", out)
 	}
@@ -98,7 +98,7 @@ func TestNoReuseSingleGrant(t *testing.T) {
 	reqs := empty(6)
 	reqs[1] = req(1, 10, ring.Node(2), 1)
 	reqs[3] = req(3, 10, ring.Node(4), 2)
-	out := a.Arbitrate(reqs, 0)
+	out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 	if len(out.Grants) != 1 || !out.Granted(1) {
 		t.Fatalf("pure TDMA must grant only the owner: %+v", out)
 	}
@@ -112,7 +112,7 @@ func TestGrantsStayFeasibleAndDisjoint(t *testing.T) {
 		reqs[i] = req(i, uint8(17+i), ring.Node((i+3)%8), int64(i+1))
 	}
 	for round := 0; round < 16; round++ {
-		out := a.Arbitrate(reqs, 0)
+		out := a.Arbitrate(core.FillLinks(a.Ring(), reqs), 0)
 		var used ring.LinkSet
 		for _, g := range out.Grants {
 			if used.Overlaps(g.Links) {

@@ -80,7 +80,8 @@ func refRead(r *Reader, width int) (uint64, error) {
 // WriteBits (widths 0–64) and aligned AppendBytes, and checks the byte-wide
 // codec against a per-bit reference: packed bytes, Len, read-back values,
 // and — on a buffer cut short — the read at which truncation strikes and
-// the position it leaves behind.
+// the position it leaves behind. Bytes is also checked mid-stream, between
+// writes.
 func FuzzBits(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0, 1, 1, 5, 0xAB, 1, 64, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(3))
@@ -95,7 +96,7 @@ func FuzzBits(f *testing.F) {
 		w.AppendBytes(bytes.Repeat([]byte{0xFF}, 32))
 		w.Reset()
 		var ref refBits
-		for _, op := range ops {
+		for i, op := range ops {
 			switch op.kind {
 			case 0:
 				w.WriteBit(op.v == 1)
@@ -114,6 +115,14 @@ func FuzzBits(f *testing.F) {
 			}
 			if w.Len() != len(ref) {
 				t.Fatalf("Len = %d, reference %d", w.Len(), len(ref))
+			}
+			// Bytes is valid mid-stream, and writing continues after it
+			// (the data-packet encoder checksums its header this way).
+			// The cut value's bits choose where to look.
+			if cut>>uint(i%16)&1 == 1 {
+				if want := ref.pack(); !bytes.Equal(w.Bytes(), want) {
+					t.Fatalf("after op %d: bytes %x, reference %x", i, w.Bytes(), want)
+				}
 			}
 		}
 		if want := ref.pack(); !bytes.Equal(w.Bytes(), want) {

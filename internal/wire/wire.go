@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"ccredf/internal/ring"
 	"ccredf/internal/timing"
@@ -92,74 +91,108 @@ func fits(v uint64, width int) bool {
 	return width >= 64 || v < 1<<uint(width)
 }
 
-// Writer packs bits MSB-first into a byte slice.
+// Writer packs bits MSB-first into a byte slice. Fields accumulate in a
+// 64-bit register, which moves to the buffer 32 bits at a time; the bits
+// still in the register join the buffer only when Bytes is called.
 type Writer struct {
-	buf  []byte
-	nbit int
+	buf  []byte // the bits written before the register's
+	acc  uint64 // the register: its low nacc bits are pending
+	nacc int    // pending bits, always < 32 between calls
 }
 
 // WriteBit appends a single bit.
 func (w *Writer) WriteBit(b bool) {
-	if w.nbit%8 == 0 {
-		w.buf = append(w.buf, 0)
-	}
+	var v uint64
 	if b {
-		w.buf[w.nbit/8] |= 0x80 >> uint(w.nbit%8)
+		v = 1
 	}
-	w.nbit++
+	w.WriteBits(v, 1)
 }
 
 // WriteBits appends the width low-order bits of v, most significant first
-// (bits of a width above 64 are leading zeros). It stores a field through
-// one 64-bit big-endian window over the partial last byte and the bytes
-// after it, instead of one bit at a time; fields wider than the window
-// holds split in two.
+// (bits of a width above 64 are leading zeros). A field of up to 32 bits
+// shifts into the register, which then holds at most 63 bits; wider fields
+// go in as 32-bit pieces.
 func (w *Writer) WriteBits(v uint64, width int) {
-	if width > windowBits {
-		w.WriteBits(v>>32, width-32)
-		width = 32
+	if uint(width) > 32 {
+		w.writeWide(v, width)
+		return
 	}
+	w.put(v, width)
+}
+
+// put appends a field of 0 ≤ width ≤ 32 bits.
+func (w *Writer) put(v uint64, width int) {
+	w.acc = w.acc<<uint(width) | v&(1<<uint(width)-1)
+	w.nacc += width
+	if w.nacc >= 32 {
+		w.flush32()
+	}
+}
+
+// writeWide is WriteBits for widths outside [0, 32].
+func (w *Writer) writeWide(v uint64, width int) {
 	if width <= 0 {
 		return
 	}
-	idx, off := w.nbit/8, w.nbit%8
-	w.buf = slices.Grow(w.buf, idx+8-len(w.buf))
-	window := w.buf[idx : idx+8]
-	var partial uint64
-	if off != 0 {
-		partial = uint64(window[0]) << 56
+	for width > 64 {
+		zeros := min(width-64, 32)
+		w.put(0, zeros)
+		width -= zeros
 	}
-	binary.BigEndian.PutUint64(window, partial|v<<uint(64-width)>>uint(off))
-	w.nbit += width
-	w.buf = w.buf[:(w.nbit+7)/8]
+	w.put(v>>32, width-32)
+	w.put(v, 32)
 }
 
-// windowBits is the widest field one 64-bit window access moves: the window
-// starts at the partial byte, which may hold up to 7 bits already.
-const windowBits = 56
+// flush32 moves the register's oldest 32 pending bits to the buffer.
+func (w *Writer) flush32() {
+	w.nacc -= 32
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>uint(w.nacc)))
+}
 
 // Reset discards the written bits while keeping the grown buffer, so one
 // Writer can serialise a packet every arbitration round without reallocating.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.nbit = 0
+	w.acc, w.nacc = 0, 0
 }
 
 // AppendBytes appends whole bytes to a byte-aligned writer (the data-packet
 // encoder byte-aligns its header so payload and CRC can be block-copied).
 func (w *Writer) AppendBytes(b []byte) {
-	if w.nbit%8 != 0 {
+	if w.nacc%8 != 0 {
 		panic("wire: AppendBytes on an unaligned writer")
 	}
+	for w.nacc > 0 { // the register's whole pending bytes go first
+		w.nacc -= 8
+		w.buf = append(w.buf, byte(w.acc>>uint(w.nacc)))
+	}
 	w.buf = append(w.buf, b...)
-	w.nbit += 8 * len(b)
 }
 
-// Bytes returns the packed bytes. The final byte is zero-padded.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Bytes returns the packed bytes. The final byte is zero-padded. The slice
+// aliases the writer's buffer: it stays valid while nothing more is
+// written, and writing may continue after the call.
+func (w *Writer) Bytes() []byte {
+	out := w.buf
+	if w.nacc > 0 {
+		// Lay the pending bits out past the buffer's length, where the
+		// next flush overwrites them, so the writer's state is unchanged.
+		left := w.acc << uint(64-w.nacc)
+		for k := 0; k < w.nacc; k += 8 {
+			out = append(out, byte(left>>56))
+			left <<= 8
+		}
+	}
+	return out
+}
 
 // Len returns the number of bits written.
-func (w *Writer) Len() int { return w.nbit }
+func (w *Writer) Len() int { return 8*len(w.buf) + w.nacc }
+
+// windowBits is the widest field one 64-bit window access moves: the window
+// starts at the partial byte, which may hold up to 7 bits already.
+const windowBits = 56
 
 // Reader unpacks bits MSB-first from a byte slice.
 type Reader struct {
@@ -182,8 +215,10 @@ func (r *Reader) ReadBit() (bool, error) {
 
 // ReadBits consumes width bits and returns them as the low-order bits of a
 // uint64, most significant first (of a width above 64, the last 64 bits). It
-// loads a field through one 64-bit window, like Writer.WriteBits. A read past
-// the end consumes the remaining bits and fails with a truncation error.
+// loads a field through one 64-bit big-endian window over the partial byte
+// and the bytes after it; fields wider than the window holds split in two. A
+// read past the end consumes the remaining bits and fails with a truncation
+// error.
 func (r *Reader) ReadBits(width int) (uint64, error) {
 	if width <= 0 {
 		return 0, nil

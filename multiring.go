@@ -104,11 +104,7 @@ func NewMulti(cfg MultiConfig) (*MultiNetwork, error) {
 	}
 	mn := &MultiNetwork{MultiNet: inner, cfg: cfg}
 	for i := 0; i < inner.Rings(); i++ {
-		inner.Ring(i).AttachWireCheck()
-		if cfg.Rings[i].CheckInvariants {
-			inner.Ring(i).AttachInvariantChecker()
-		}
-		mn.ringNets = append(mn.ringNets, &Network{Network: inner.Ring(i), cfg: cfg.Rings[i]})
+		mn.ringNets = append(mn.ringNets, instrument(inner.Ring(i), cfg.Rings[i]))
 	}
 	return mn, nil
 }
