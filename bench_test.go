@@ -145,6 +145,29 @@ func BenchmarkSteadyStateSlots(b *testing.B) {
 	}
 }
 
+// BenchmarkIdleSlots measures the slot loop of an idle 32-node ring per
+// protocol (slotbench.NewIdle): every collection round finds nothing queued,
+// so a slot costs a round point that visits no station, an empty
+// arbitration and the hand-over. With -benchmem the B/op and allocs/op
+// columns must read 0.
+func BenchmarkIdleSlots(b *testing.B) {
+	for _, name := range slotbench.Protocols {
+		b.Run(name, func(b *testing.B) {
+			net, err := slotbench.NewIdle(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := net.Slot()
+			for i := 0; i < b.N; i++ {
+				net.RunSlots(1)
+			}
+			b.ReportMetric(float64(net.Slot()-start)/float64(b.N), "slots/op")
+		})
+	}
+}
+
 // BenchmarkAdmissionControl measures the admission test itself.
 func BenchmarkAdmissionControl(b *testing.B) {
 	p := timing.DefaultParams(8)

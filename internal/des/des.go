@@ -13,13 +13,15 @@
 // component with a fixed, clocked schedule (the network slot engine) need not
 // queue its steps at all: it reserves their sequence numbers (ReserveSeq),
 // runs them itself, and runs the queued events that fall between them
-// (PeekBefore, StepBefore, StepUpTo, AdvanceTo). Run and Step execute the
-// queue alone.
+// (PeekBefore, StepBefore, StepUpTo, Enter, AdvanceTo). Run and Step execute
+// the queue alone. Ahead tells such a component whether a step it may still
+// run at (when, seq) comes after the one running now.
 package des
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ccredf/internal/timing"
 )
@@ -42,8 +44,12 @@ type Simulator struct {
 	queue    eventQueue
 	seq      uint64
 	executed uint64
-	running  bool
-	free     []*event // recycled events
+	// at is the sequence number of the step running at now: the event being
+	// fired, or the inline point entered with Enter. It is math.MaxUint64
+	// once the clock has been advanced past every step due at now.
+	at      uint64
+	running bool
+	free    []*event // recycled events
 }
 
 // New returns a fresh Simulator with the clock at zero.
@@ -95,7 +101,7 @@ func (s *Simulator) PostAfter(d timing.Time, fn Handler) {
 // Posts may reuse it.
 func (s *Simulator) fire() {
 	ev := s.queue.pop()
-	s.now = ev.when
+	s.now, s.at = ev.when, ev.seq
 	fn := ev.fn
 	ev.fn = nil
 	s.free = append(s.free, ev)
@@ -173,13 +179,30 @@ func (s *Simulator) StepUpTo(horizon timing.Time) bool {
 	return s.StepBefore(horizon, timing.Forever, 0)
 }
 
-// AdvanceTo moves the clock forward to t; moving backwards is a no-op. Inline
-// executors advance the clock to each point before running its handler, just
-// as Run does for queued events, and to the horizon when they suspend.
+// Enter moves the clock to the reserved point (when, seq) an inline executor
+// is about to run, just as Run does for a queued event before firing it.
+func (s *Simulator) Enter(when timing.Time, seq uint64) {
+	s.now, s.at = when, seq
+}
+
+// AdvanceTo moves the clock forward to t once every step due by t has run;
+// moving backwards is a no-op. Inline executors call it with the horizon when
+// they suspend, as Run does.
 func (s *Simulator) AdvanceTo(t timing.Time) {
-	if t > s.now && t != timing.Forever {
+	if t < s.now {
+		return
+	}
+	if t != timing.Forever {
 		s.now = t
 	}
+	s.at = math.MaxUint64
+}
+
+// Ahead reports whether a step at (when, seq) is ordered after the step
+// running now, that is whether it has yet to run. Between runs every step
+// due by the clock has run, so only later times are ahead.
+func (s *Simulator) Ahead(when timing.Time, seq uint64) bool {
+	return when > s.now || (when == s.now && seq > s.at)
 }
 
 // Step executes exactly one event and reports whether there was one.

@@ -120,3 +120,31 @@ func TestAdvanceToNeverMovesBackwards(t *testing.T) {
 		t.Fatalf("AdvanceTo(Forever) moved the clock: now = %v", sim.Now())
 	}
 }
+
+// TestAheadOrdersAgainstTheRunningStep pins Ahead against every way a step
+// starts running: an inline point entered with Enter, a fired event, and a
+// suspension with AdvanceTo, after which every step due by the clock has run.
+func TestAheadOrdersAgainstTheRunningStep(t *testing.T) {
+	sim := New()
+	first, second := sim.ReserveSeq(), sim.ReserveSeq()
+	sim.Enter(40, first)
+	for _, c := range []struct {
+		when timing.Time
+		seq  uint64
+		want bool
+	}{{39, second, false}, {40, first, false}, {40, second, true}, {41, first, true}} {
+		if got := sim.Ahead(c.when, c.seq); got != c.want {
+			t.Errorf("entered (40, %d): Ahead(%v, %d) = %v, want %v", first, c.when, c.seq, got, c.want)
+		}
+	}
+	var during, after bool
+	sim.Post(50, func(timing.Time) { during, after = sim.Ahead(50, second), sim.Ahead(50, sim.ReserveSeq()) })
+	sim.StepUpTo(50)
+	if during || !after {
+		t.Errorf("firing an event at 50: Ahead of an earlier reservation = %v, of a later one = %v", during, after)
+	}
+	sim.AdvanceTo(50)
+	if sim.Ahead(50, sim.ReserveSeq()) || !sim.Ahead(51, first) {
+		t.Error("after AdvanceTo(50): a step at 50 is still ahead, or one at 51 is not")
+	}
+}

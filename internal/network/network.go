@@ -226,32 +226,48 @@ type Network struct {
 
 	// sampled is the collection-phase request slate of the current slot:
 	// node i's request at index i and, with the secondary-request
-	// extension, its secondary at index N+i. Each sample writes its node's
-	// entries in place, and every round samples all N nodes before it
-	// arbitrates, so the slate needs no reset.
+	// extension, its secondary at index N+i. Each visit writes its station's
+	// entries in place. A station the round does not visit holds the empty
+	// request core.Request{Node: i}, which is what its sample would write:
+	// live holds the stations whose entries may be non-empty, and startSlot
+	// empties those of them the round will not visit.
 	sampled []core.Request
+	live    ring.NodeSet
 
 	// Hot-path memory discipline (DESIGN.md §9): the slot loop reuses all of
 	// its per-round storage. sampledSpare double-buffers the request slate
-	// (arbitrate swaps the two, so the slate an arbitration event exposed
-	// stays intact until the next round), and freeDeliveries pools the
-	// in-flight fragment-delivery events.
+	// (arbitrate swaps the two, with their live sets, so the slate an
+	// arbitration event exposed stays intact until the next round), and
+	// freeDeliveries pools the in-flight fragment-delivery events.
 	sampledSpare   []core.Request
+	liveSpare      ring.NodeSet
 	freeDeliveries *delivery
 
-	// Inline slot execution (DESIGN.md §9). The slot's fixed schedule — N
-	// collection samples, the arbitration, the slot end and the start of
-	// the next slot — never passes through the event heap: it is recorded
-	// in pts as engine points under sequence numbers reserved from the
-	// kernel (des.ReserveSeq), and Run executes them directly, running the
-	// kernel's queued events (deliveries, traffic generators, recovery
-	// timeouts) exactly where the (time, seq) order interleaves them. ptNext
-	// is the cursor into pts; an exhausted cursor is a silent ring awaiting
-	// a recovery timeout. group holds every network on this kernel (just
-	// this one, or all rings of a MultiNet): Run advances them together.
+	// Inline slot execution (DESIGN.md §9). The slot's fixed schedule — the
+	// collection round, the arbitration, the slot end and the start of the
+	// next slot — never passes through the event heap: it is recorded in pts
+	// as engine points under sequence numbers reserved from the kernel
+	// (des.ReserveSeq), and Run executes them directly, running the kernel's
+	// queued events (deliveries, traffic generators, recovery timeouts)
+	// exactly where the (time, seq) order interleaves them. ptNext is the
+	// cursor into pts; an exhausted cursor is a silent ring awaiting a
+	// recovery timeout. group holds every network on this kernel (just this
+	// one, or all rings of a MultiNet): Run advances them together.
 	pts    []enginePoint
 	ptNext int
 	group  []*Network
+
+	// The collection round is one engine point (opCollect) whose time is
+	// that of its next visit: hop is the number of hops from the master to
+	// the station visited next, and the round visits, in ring order, only
+	// the stations in queued (whose queues may be non-empty: set at every
+	// enqueue, cleared by a visit that finds the queue empty) and in
+	// detectPending — every station while an observer wants
+	// KindRequestSampled. With nothing left to visit the point parks at the
+	// last hop, so an enqueue during the round can still bring a station in
+	// ahead of it (markQueued).
+	queued ring.NodeSet
+	hop    int
 
 	msgSeq    int64
 	conns     map[int]*connState
@@ -278,19 +294,24 @@ type Network struct {
 // enginePoint is one inline-executed engine step: an operation to run at a
 // simulated time under a sequence number reserved from the simulator, which
 // fixes its order against queued events and other networks' points. The
-// operation is an opcode plus node index rather than a bound handler: Run
-// dispatches with direct method calls, where a des.Handler costs a closure
-// indirection per point.
+// operation is an opcode rather than a bound handler: Run dispatches with
+// direct method calls, where a des.Handler costs a closure indirection per
+// point.
+//
+// Every visit of a collection round runs under the round point's one
+// sequence number. That orders the visits against queued events and other
+// networks' points exactly as a number per visit reserved back to back
+// would, since no other number can fall between those, and
+// timing.NewTable checks that the visit times rise with the hop count.
 type enginePoint struct {
 	when timing.Time
 	seq  uint64
-	idx  int32 // sampled node of an opSample point
 	op   uint8
 }
 
 // enginePoint opcodes, in within-slot order.
 const (
-	opSample uint8 = iota
+	opCollect uint8 = iota
 	opArbitrate
 	opEndSlot
 	opStartSlot
@@ -383,7 +404,11 @@ func New(cfg Config) (*Network, error) {
 		sampled:      make([]core.Request, slate),
 		sampledSpare: make([]core.Request, slate),
 		conns:        make(map[int]*connState),
-		pts:          make([]enginePoint, 0, r.Nodes()+2),
+		pts:          make([]enginePoint, 0, 3),
+	}
+	for i := range n.sampled {
+		n.sampled[i] = core.Request{Node: i % r.Nodes()}
+		n.sampledSpare[i] = n.sampled[i]
 	}
 	n.group = []*Network{n}
 	if cfg.Faults.Enabled() {
@@ -497,17 +522,25 @@ func (n *Network) Run(until timing.Time) {
 				}
 				continue
 			}
-			cur.ptNext++
-			sim.AdvanceTo(pt.when)
-			switch pt.op {
-			case opSample:
-				cur.sample(int(pt.idx), pt.when)
-			case opArbitrate:
-				cur.arbitrate(pt.when)
-			case opEndSlot:
-				cur.endSlot(pt.when)
-			default:
-				cur.startSlot(pt.when)
+			sim.Enter(pt.when, pt.seq)
+			if pt.op == opCollect {
+				cur.collect(pt.when, lim)
+			} else {
+				cur.ptNext++
+				switch pt.op {
+				case opArbitrate:
+					cur.arbitrate(pt.when)
+				case opEndSlot:
+					cur.endSlot(pt.when)
+				default:
+					cur.startSlot(pt.when)
+				}
+			}
+			if len(n.group) > 1 {
+				// The point may have enqueued on another ring (an observer
+				// submitting there), moving that ring's round earlier:
+				// choose the earliest point again.
+				break
 			}
 		}
 	}
@@ -653,6 +686,7 @@ func (n *Network) SubmitMessage(class sched.Class, src int, dests ring.NodeSet, 
 	if err := n.nodes[src].Enqueue(m); err != nil {
 		return nil, err
 	}
+	n.markQueued(src)
 	return m, nil
 }
 
@@ -830,6 +864,7 @@ func (n *Network) releaseConnMessage(id int) {
 	}
 	if err := n.nodes[c.Src].Enqueue(m); err == nil {
 		cs.stats.Released++
+		n.markQueued(c.Src)
 	}
 	n.sim.PostAfter(c.Period, cs.release)
 }
@@ -868,32 +903,131 @@ func (n *Network) startSlot(now timing.Time) {
 	// every node; node (master+i) appends its request after i per-node
 	// delays and the propagation over the i links between them. The master
 	// holds the completed packet after Equation 2's minimum collection time
-	// and arbitrates; the slot ends one payload time after it started. Each
-	// step is recorded as an engine point for Run.
-	nodes := n.r.Nodes()
-	pts := n.pts[:0]
-	for i := 1; i <= nodes; i++ {
-		idx := n.master + i
+	// and arbitrates; the slot ends one payload time after it started. The
+	// round, the arbitration and the slot end are recorded as engine points
+	// for Run, in (when, seq) order: the last visit is the master's, at
+	// MinSlot, and the slot is never shorter than that.
+	sec := len(n.sampled) > len(n.nodes)
+	for v := uint64(n.live &^ n.queued); v != 0; v &= v - 1 {
+		i := bits.TrailingZeros64(v)
+		n.sampled[i] = core.Request{Node: i}
+		if sec {
+			n.sampled[len(n.nodes)+i] = core.Request{Node: i}
+		}
+	}
+	n.live = 0
+	n.pts = append(n.pts[:0],
+		enginePoint{seq: n.sim.ReserveSeq(), op: opCollect},
+		enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate},
+		enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
+	n.ptNext = 0
+	n.seek(1)
+}
+
+// visits returns the stations the open round visits: those whose queue may
+// be non-empty and those whose crash is still undetected, or every station
+// while an observer wants each sample.
+func (n *Network) visits() ring.NodeSet {
+	if n.pipe.Wants(obs.KindRequestSampled) {
+		return ring.NodeSet(math.MaxUint64 >> (64 - len(n.nodes)))
+	}
+	return n.queued | n.detectPending
+}
+
+// seek aims the open round's point at the first hop from `from` on whose
+// station is in visits, or parks it at the last hop (the master's) when
+// there is none.
+func (n *Network) seek(from int) {
+	nodes := len(n.nodes)
+	// Rotate the visit set so that bit k is the station k+1 hops after the
+	// master; bits at nodes and above are discarded by the range check.
+	first := n.master + 1
+	if first == nodes {
+		first = 0
+	}
+	s := uint64(n.visits())
+	rot := (s>>first | s<<(nodes-first)) >> (from - 1)
+	h := from + bits.TrailingZeros64(rot)
+	if h > nodes {
+		h = nodes
+	}
+	n.hop = h
+	n.pts[n.ptNext].when = n.slotStart + n.tt.CollectOff(n.master, h)
+}
+
+// collect runs the open round's point: the station n.hop hops after the
+// master is sampled if it is still in visits, and the point moves on to the
+// next station to visit; the master's hop ends the round. A lone network
+// runs its next visits straight on while they come by lim and before every
+// queued event, exactly as Run would; in a group Run chooses the earliest
+// point again after each visit.
+func (n *Network) collect(now, lim timing.Time) {
+	nodes := len(n.nodes)
+	for {
+		idx := n.master + n.hop
 		if idx >= nodes {
 			idx -= nodes
 		}
-		at := now + n.tt.CollectOff(n.master, i)
-		pts = append(pts, enginePoint{when: at, seq: n.sim.ReserveSeq(), op: opSample, idx: int32(idx)})
-	}
-	pts = append(pts, enginePoint{when: now + n.tt.MinSlot, seq: n.sim.ReserveSeq(), op: opArbitrate})
-	pts = append(pts, enginePoint{when: now + n.tt.SlotTime, seq: n.sim.ReserveSeq(), op: opEndSlot})
-	// The schedule above is already (when, seq)-ordered for every physically
-	// sensible Params (sample times grow with the hop count, arbitration
-	// shares the last sample's time with a later seq); the insertion sort is
-	// a cheap O(n) pass then, and keeps Run's order exact for exotic timing
-	// models.
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].before(&pts[j-1]); j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
+		if n.visits().Contains(idx) {
+			n.sample(idx, now)
 		}
+		if n.hop == nodes {
+			n.ptNext++
+			return
+		}
+		n.seek(n.hop + 1)
+		pt := &n.pts[n.ptNext]
+		if pt.when > lim || len(n.group) > 1 || n.sim.PeekBefore(pt.when, pt.seq) {
+			return
+		}
+		now = pt.when
+		n.sim.Enter(now, pt.seq)
 	}
-	n.pts = pts
-	n.ptNext = 0
+}
+
+// roundOpen reports whether the collection round is the next engine point.
+func (n *Network) roundOpen() bool {
+	return n.ptNext < len(n.pts) && n.pts[n.ptNext].op == opCollect
+}
+
+// markQueued records that station idx's queue may be non-empty. During an
+// open round the station is visited if its visit is still ahead of the
+// kernel — exactly when a point of its own would have sampled the enqueue.
+func (n *Network) markQueued(idx int) {
+	if n.queued.Contains(idx) {
+		return
+	}
+	n.queued = n.queued.Add(idx)
+	if !n.roundOpen() {
+		return
+	}
+	h := idx - n.master
+	if h <= 0 {
+		h += len(n.nodes)
+	}
+	if h >= n.hop {
+		return // the round reaches it anyway
+	}
+	pt := &n.pts[n.ptNext]
+	if at := n.slotStart + n.tt.CollectOff(n.master, h); n.sim.Ahead(at, pt.seq) {
+		n.hop = h
+		pt.when = at
+	}
+}
+
+// rewind re-aims an open round at the first hop whose visit is still ahead
+// of the kernel, for when the visit set has grown to every station (an
+// observer attached mid-round wants each sample).
+func (n *Network) rewind() {
+	if !n.roundOpen() {
+		return
+	}
+	seq := n.pts[n.ptNext].seq
+	h := 1
+	for h < n.hop && !n.sim.Ahead(n.slotStart+n.tt.CollectOff(n.master, h), seq) {
+		h++
+	}
+	n.seek(h)
 }
 
 // transmit delivers (or loses) one granted fragment.
@@ -923,6 +1057,7 @@ func (n *Network) transmit(m *sched.Message, g core.Grant, slotBegin timing.Time
 					Kind: obs.KindRetransmit, Time: t, Slot: n.slot, Node: m.Src, Msg: m, Grant: g,
 				})
 				n.nodes[m.Src].Restore(m)
+				n.markQueued(m.Src)
 			})
 		} else {
 			m.Dropped++
@@ -1006,6 +1141,9 @@ func (n *Network) deliver(m *sched.Message, g core.Grant, now timing.Time) {
 func (n *Network) sample(idx int, now timing.Time) {
 	sec := len(n.sampled) > len(n.nodes)
 	if n.dead.Contains(idx) {
+		// A dead station's entries are empty whatever its queue holds (the
+		// restart expires it), so later rounds need not visit it.
+		n.queued = n.queued.Remove(idx)
 		n.sampled[idx] = core.Request{Node: idx}
 		if sec {
 			n.sampled[len(n.nodes)+idx] = core.Request{Node: idx}
@@ -1023,6 +1161,11 @@ func (n *Network) sample(idx int, now timing.Time) {
 	dropped := nd.Request(&n.sampled[idx], now, n.tt.SlotTime, n.cfg.DropLate)
 	if sec {
 		nd.SecondaryRequest(&n.sampled[len(n.nodes)+idx], now, n.tt.SlotTime)
+	}
+	if nd.QueueLen() == 0 {
+		n.queued = n.queued.Remove(idx)
+	} else {
+		n.live = n.live.Add(idx)
 	}
 	if n.pipe.Wants(obs.KindRequestSampled) {
 		n.pipe.Emit(obs.Event{Kind: obs.KindRequestSampled, Time: now, Slot: n.slot, Node: idx, Req: n.sampled[idx]})
@@ -1049,8 +1192,8 @@ func (n *Network) arbitrate(now timing.Time) {
 		// and grants nothing — queued messages are simply re-requested next
 		// round (sampling only peeks at the queues). No arbitration event is
 		// emitted: on the wire, the round never happened. The filled slate
-		// is abandoned in place; next slot's samples overwrite every entry,
-		// and the slate exposed by the previous arbitration event (in the
+		// is abandoned in place; next slot's round refreshes it, and the
+		// slate exposed by the previous arbitration event (in the
 		// spare buffer) stays intact as the observer contract requires.
 		n.pipe.Emit(obs.Event{Kind: obs.KindFaultInjected, Fault: fault.CollectionDrop, Time: now, Slot: n.slot, Node: n.master})
 		n.pipe.Emit(obs.Event{Kind: obs.KindFaultDetected, Fault: fault.CollectionDrop, Time: now, Slot: n.slot, Node: n.master})
@@ -1073,10 +1216,11 @@ func (n *Network) arbitrate(now timing.Time) {
 			Node: n.master, Peer: n.next.Master, Outcome: &n.next, Requests: reqs,
 		})
 	}
-	// Swap in the spare slate for the next collection round, which
-	// overwrites every entry before it arbitrates. The slate just emitted
-	// stays untouched until the round after.
+	// Swap in the spare slate for the next collection round, which empties
+	// or overwrites every non-empty entry before it arbitrates. The slate
+	// just emitted stays untouched until the round after.
 	n.sampled, n.sampledSpare = n.sampledSpare, n.sampled
+	n.live, n.liveSpare = n.liveSpare, n.live
 }
 
 // endSlot stops the clock, hands the master role over and schedules the next

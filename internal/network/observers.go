@@ -14,7 +14,10 @@ import (
 // Observers fire synchronously in attachment order on the simulation thread;
 // they must not retain the event past OnEvent. Attach before running the
 // simulation — events are not replayed.
-func (n *Network) Attach(o obs.Observer) { n.pipe.Attach(o) }
+func (n *Network) Attach(o obs.Observer) {
+	n.pipe.Attach(o)
+	n.rewind()
+}
 
 // Wants reports whether any attached observer consumes events of kind k,
 // that is whether the network builds and dispatches such events at all.
@@ -25,7 +28,7 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
-	n.pipe.Attach(trace.NewObserver(tr))
+	n.Attach(trace.NewObserver(tr))
 }
 
 // AttachWireCheck subscribes the control-channel codec verifier: every
@@ -33,7 +36,7 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 // bit-serial codec and the round trip compared, exactly as the hardware would
 // serialise them. Failures count in Metrics.WireErrors.
 func (n *Network) AttachWireCheck() {
-	n.pipe.Attach(&wireChecker{r: n.r, errs: &n.metrics.WireErrors})
+	n.Attach(&wireChecker{r: n.r, errs: &n.metrics.WireErrors})
 }
 
 // AttachDataCheck subscribes the data-channel codec verifier: every
@@ -41,7 +44,7 @@ func (n *Network) AttachWireCheck() {
 // (header + payload + CRC-16) and the receiver-side decode verified.
 // Failures count in Metrics.WireErrors.
 func (n *Network) AttachDataCheck() {
-	n.pipe.Attach(&dataChecker{
+	n.Attach(&dataChecker{
 		nodes:        n.r.Nodes(),
 		payloadBytes: n.params.SlotPayloadBytes,
 		errs:         &n.metrics.WireErrors,
@@ -55,7 +58,7 @@ func (n *Network) AttachDataCheck() {
 // Metrics.InvariantViolations with the first few recorded in
 // Metrics.Violations.
 func (n *Network) AttachInvariantChecker() {
-	n.pipe.Attach(&invariantChecker{r: n.r, proto: n.proto, m: n.metrics})
+	n.Attach(&invariantChecker{r: n.r, proto: n.proto, m: n.metrics})
 }
 
 // metricsObserver aggregates the event stream into Metrics. It is attached

@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccredf/internal/mode"
 	"ccredf/internal/ring"
@@ -162,7 +162,10 @@ func (e ErrModeGated) Error() string {
 type Admission struct {
 	params timing.Params
 	umax   float64
-	active map[int]Connection
+	// active is the accepted set Ma in ascending ID order. IDs are issued
+	// in increasing order, so accepting appends and releasing deletes in
+	// place; every sum walks this order (see sum).
+	active []Connection
 	nextID int
 	// budgets caps the density each criticality level may hold. Each
 	// defaults to umax (no partitioning); SetBudget tightens a level.
@@ -178,7 +181,6 @@ func NewAdmission(params timing.Params) *Admission {
 	a := &Admission{
 		params: params,
 		umax:   params.UMax(),
-		active: make(map[int]Connection),
 		nextID: 1,
 	}
 	for l := range a.budgets {
@@ -230,16 +232,11 @@ func (a *Admission) Budget(l Criticality) float64 {
 // LevelDensity returns the total density of the accepted connections at
 // criticality level l, summed in ascending connection-ID order (see sum).
 func (a *Admission) LevelDensity(l Criticality) float64 {
-	ids := make([]int, 0, len(a.active))
-	for id, c := range a.active {
-		if c.Crit == l {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
 	u := 0.0
-	for _, id := range ids {
-		u += a.active[id].Density(a.params.SlotTime())
+	for _, c := range a.active {
+		if c.Crit == l {
+			u += c.Density(a.params.SlotTime())
+		}
 	}
 	return u
 }
@@ -300,81 +297,78 @@ func (a *Admission) Admit(c Connection) (Connection, []Connection, error) {
 	}
 	cur := a.Density()
 	if cur+u <= a.umax {
-		return a.commit(c, nil), nil, nil
+		return a.commit(c), nil, nil
 	}
-	// Degraded mode: collect shedding candidates of strictly lower
-	// criticality, least critical first, newest (highest-ID) first within
-	// a level, and evict greedily until c fits.
-	cands := make([]Connection, 0, len(a.active))
-	for _, v := range a.active {
-		if v.Crit > c.Crit {
-			cands = append(cands, v)
+	// Degraded mode: collect the positions of shedding candidates of
+	// strictly lower criticality, least critical first, newest (highest-ID)
+	// first within a level, and evict greedily until c fits.
+	var cands []int
+	for l := NumCriticalities - 1; l > int(c.Crit); l-- {
+		for i := len(a.active) - 1; i >= 0; i-- {
+			if a.active[i].Crit == Criticality(l) {
+				cands = append(cands, i)
+			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Crit != cands[j].Crit {
-			return cands[i].Crit > cands[j].Crit
-		}
-		return cands[i].ID > cands[j].ID
-	})
 	// Recompute the remaining set's density from scratch after each
 	// eviction instead of subtracting: float subtraction is not the exact
 	// inverse of the ID-ordered sum, and the decision must be bit-identical
 	// to a recompute-from-scratch oracle.
-	excluded := make(map[int]bool, len(cands))
+	excluded := make([]bool, len(a.active))
 	shed := make([]Connection, 0, len(cands))
 	for cur+u > a.umax {
 		if len(shed) == len(cands) {
 			return Connection{}, nil, ErrRejected{Requested: u, Current: a.Density(), UMax: a.umax}
 		}
-		v := cands[len(shed)]
-		excluded[v.ID] = true
-		shed = append(shed, v)
+		i := cands[len(shed)]
+		excluded[i] = true
+		shed = append(shed, a.active[i])
 		cur = a.densityExcluding(excluded)
 	}
-	return a.commit(c, shed), shed, nil
+	kept := a.active[:0]
+	for i, v := range a.active {
+		if !excluded[i] {
+			kept = append(kept, v)
+		}
+	}
+	a.active = kept
+	return a.commit(c), shed, nil
 }
 
 // densityExcluding returns the density of the accepted set minus the
-// excluded IDs, summed in ascending connection-ID order.
-func (a *Admission) densityExcluding(excluded map[int]bool) float64 {
-	ids := make([]int, 0, len(a.active))
-	for id := range a.active {
-		if !excluded[id] {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
+// connections at the excluded positions, summed in ascending ID order.
+func (a *Admission) densityExcluding(excluded []bool) float64 {
 	u := 0.0
-	for _, id := range ids {
-		u += a.active[id].Density(a.params.SlotTime())
+	for i, c := range a.active {
+		if !excluded[i] {
+			u += c.Density(a.params.SlotTime())
+		}
 	}
 	return u
 }
 
-// commit evicts shed, assigns the next ID to c and stores it.
-func (a *Admission) commit(c Connection, shed []Connection) Connection {
-	for _, v := range shed {
-		delete(a.active, v.ID)
-	}
+// commit assigns the next ID to c and appends it, keeping the accepted set
+// in ascending ID order.
+func (a *Admission) commit(c Connection) Connection {
 	c.ID = a.nextID
 	a.nextID++
-	a.active[c.ID] = c
+	a.active = append(a.active, c)
 	return c
 }
 
+// find returns the position of the connection with the given ID in the
+// accepted set and whether it is there.
+func (a *Admission) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(a.active, id, func(c Connection, id int) int { return c.ID - id })
+}
+
 // sum folds term over the accepted set in ascending connection-ID order:
-// float addition is not associative, so summing in map order would make the
-// last bits of the total (and everything derived from it) vary run to run.
+// float addition is not associative, so a fixed order keeps the last bits
+// of the total (and everything derived from it) the same run to run.
 func (a *Admission) sum(term func(Connection, timing.Time) float64) float64 {
-	ids := make([]int, 0, len(a.active))
-	for id := range a.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	u := 0.0
-	for _, id := range ids {
-		u += term(a.active[id], a.params.SlotTime())
+	for _, c := range a.active {
+		u += term(c, a.params.SlotTime())
 	}
 	return u
 }
@@ -394,10 +388,7 @@ func (a *Admission) Request(c Connection) (Connection, error) {
 	if cur+u > a.umax {
 		return Connection{}, ErrRejected{Requested: u, Current: cur, UMax: a.umax}
 	}
-	c.ID = a.nextID
-	a.nextID++
-	a.active[c.ID] = c
-	return c, nil
+	return a.commit(c), nil
 }
 
 // Force admits c without running the utilisation test. It exists for
@@ -407,36 +398,30 @@ func (a *Admission) Force(c Connection) (Connection, error) {
 	if err := c.Validate(a.params.Nodes, a.params.SlotTime()); err != nil {
 		return Connection{}, err
 	}
-	c.ID = a.nextID
-	a.nextID++
-	a.active[c.ID] = c
-	return c, nil
+	return a.commit(c), nil
 }
 
 // Release removes the connection with the given ID from Ma and reports
 // whether it was active.
 func (a *Admission) Release(id int) bool {
-	if _, ok := a.active[id]; !ok {
-		return false
+	i, ok := a.find(id)
+	if ok {
+		a.active = slices.Delete(a.active, i, i+1)
 	}
-	delete(a.active, id)
-	return true
+	return ok
 }
 
 // Get returns the active connection with the given ID.
 func (a *Admission) Get(id int) (Connection, bool) {
-	c, ok := a.active[id]
-	return c, ok
+	if i, ok := a.find(id); ok {
+		return a.active[i], true
+	}
+	return Connection{}, false
 }
 
 // Active returns the accepted set Ma, sorted by ID.
 func (a *Admission) Active() []Connection {
-	out := make([]Connection, 0, len(a.active))
-	for _, c := range a.active {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]Connection, 0, len(a.active)), a.active...)
 }
 
 // Feasible runs the basic EDF feasibility test of Equation 5 on an arbitrary

@@ -29,6 +29,20 @@ func TestZeroAllocCCREDFSecondary(t *testing.T) { testZeroAllocs(t, "ccr-edf+sec
 func TestZeroAllocCCFPR(t *testing.T)           { testZeroAllocs(t, "cc-fpr") }
 func TestZeroAllocTDMA(t *testing.T)            { testZeroAllocs(t, "tdma") }
 
+// The idle ring's slots — a collection round that finds nothing queued, an
+// empty arbitration, the hand-over — must not allocate either.
+func TestZeroAllocIdle(t *testing.T) {
+	for _, name := range Protocols {
+		net, err := NewIdle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { net.RunSlots(1) }); avg != 0 {
+			t.Errorf("idle %s slot engine allocates %v objects/slot-period, want 0", name, avg)
+		}
+	}
+}
+
 // The fully instrumented engine — wire-codec round-tripping, data-packet
 // CRC verification and protocol invariant checks on every slot — must hold
 // the zero-allocation gate too: verification runs on persistent scratch

@@ -45,31 +45,36 @@ const (
 	// enforces (the data packet counts fragments in 16 bits). 60000
 	// fragments still outlast every gate and bench horizon.
 	instrumentedBacklogSlots = 60000
+	// IdleNodes is the ring size of the idle workload (NewIdle): the
+	// largest ring of the sweep grids, where an idle slot used to cost
+	// one collection sample per station.
+	IdleNodes = 32
 )
 
 // Protocols lists the protocol configurations the baseline covers, in
 // report order.
 var Protocols = []string{"ccr-edf", "ccr-edf+secondary", "cc-fpr", "tdma"}
 
-// config builds the named protocol's network configuration.
-func config(name string) (network.Config, error) {
-	cfg := network.Config{Params: timing.DefaultParams(Nodes)}
+// config builds the named protocol's network configuration on a ring of the
+// given size.
+func config(name string, nodes int) (network.Config, error) {
+	cfg := network.Config{Params: timing.DefaultParams(nodes)}
 	switch name {
 	case "ccr-edf", "ccr-edf+secondary":
-		arb, err := core.NewArbiter(Nodes, sched.Map5Bit, true)
+		arb, err := core.NewArbiter(nodes, sched.Map5Bit, true)
 		if err != nil {
 			return network.Config{}, err
 		}
 		cfg.Protocol = arb
 		cfg.SecondaryRequests = name == "ccr-edf+secondary"
 	case "cc-fpr":
-		arb, err := ccfpr.NewArbiter(Nodes, true)
+		arb, err := ccfpr.NewArbiter(nodes, true)
 		if err != nil {
 			return network.Config{}, err
 		}
 		cfg.Protocol = arb
 	case "tdma":
-		arb, err := tdma.NewArbiter(Nodes, true)
+		arb, err := tdma.NewArbiter(nodes, true)
 		if err != nil {
 			return network.Config{}, err
 		}
@@ -106,7 +111,7 @@ func backlog(net *network.Network, slots int) error {
 // New builds a warmed-up network running the named protocol over the
 // permanent-backlog workload. Valid names are listed in Protocols.
 func New(name string) (*network.Network, error) {
-	cfg, err := config(name)
+	cfg, err := config(name, Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +133,7 @@ func New(name string) (*network.Network, error) {
 // the same zero-allocation gate as the bare one — verification reuses
 // persistent scratch instead of taxing the slot loop.
 func NewInstrumented(name string) (*network.Network, error) {
-	cfg, err := config(name)
+	cfg, err := config(name, Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +154,24 @@ func NewInstrumented(name string) (*network.Network, error) {
 	if v := net.Metrics().InvariantViolations.Value(); v != 0 {
 		return nil, fmt.Errorf("slotbench: %s instrumented warmup hit %d invariant violations", name, v)
 	}
+	return net, nil
+}
+
+// NewIdle builds a warmed-up IdleNodes-node ring running the named protocol
+// with no traffic at all: every slot is a collection round in which no
+// station has anything queued, then an empty arbitration and the hand-over.
+// It is the limit of a light load, where most slots carry no data, kept
+// free of traffic because every generated message allocates.
+func NewIdle(name string) (*network.Network, error) {
+	cfg, err := config(name, IdleNodes)
+	if err != nil {
+		return nil, err
+	}
+	net, err := network.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	net.RunSlots(WarmupSlots)
 	return net, nil
 }
 

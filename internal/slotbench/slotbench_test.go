@@ -26,6 +26,21 @@ func TestWorkloadRunsEveryProtocol(t *testing.T) {
 	}
 }
 
+func TestIdleWorkloadCarriesNoData(t *testing.T) {
+	for _, name := range Protocols {
+		net, err := NewIdle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := net.Metrics().Slots.Value(); got < WarmupSlots {
+			t.Fatalf("%s: warmup ran %d slots, want ≥ %d", name, got, WarmupSlots)
+		}
+		if got := net.Metrics().SlotsWithData.Value(); got != 0 {
+			t.Fatalf("%s: %d idle slots carried data", name, got)
+		}
+	}
+}
+
 func TestMeasureReportsSaneFigures(t *testing.T) {
 	st, err := Measure("ccr-edf", 64)
 	if err != nil {

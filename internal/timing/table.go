@@ -1,5 +1,7 @@
 package timing
 
+import "fmt"
+
 // Table caches every Params-derived quantity the slot engine touches per
 // slot. The closed-form accessors on Params are pure functions of a fixed
 // configuration, but they are not free: each call copies the Params value and
@@ -56,6 +58,21 @@ func NewTable(p Params) *Table {
 				prop = t.RingProp // full loop back to the master
 			}
 			t.collect[m*n+i-1] = Time(i)*t.NodeDelay + prop
+		}
+	}
+	// The slot engine runs each collection round as one point that visits
+	// stations in hop order (internal/network), so the visit times must
+	// rise with the hop count and the last must come by the arbitration at
+	// MinSlot, itself no later than the slot end. Valid Params guarantee
+	// all three (every hop adds a node delay of at least one bit time).
+	for m := 0; m < n; m++ {
+		prev := Time(0)
+		for _, off := range t.collect[m*n : m*n+n] {
+			if off <= prev || off > t.MinSlot || t.MinSlot > t.SlotTime {
+				panic(fmt.Sprintf("timing: collection offsets of master %d do not rise to MinSlot %v within slot %v",
+					m, t.MinSlot, t.SlotTime))
+			}
+			prev = off
 		}
 	}
 	return t

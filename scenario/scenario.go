@@ -652,7 +652,9 @@ func (s *Scenario) buildMulti() (*Result, error) {
 		rc.Reliable = s.Reliable
 		rc.DropLate = s.DropLate
 		rc.SecondaryRequests = s.SecondaryRequests
+		rc.TraceCapacity = s.TraceCapacity
 		rc.CheckInvariants = s.CheckInvariants
+		rc.DataCheck = s.DataCheck
 		if s.LinkLengthM > 0 {
 			rc.Params.LinkLengthM = s.LinkLengthM
 		}

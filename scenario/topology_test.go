@@ -120,3 +120,42 @@ func TestTopologyBuildsDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyScenarioCopiesChecks pins that data_check and trace_capacity
+// reach every ring of a topology, as they reach the single ring: a
+// 70 000-byte slot payload overflows the data packet's 16-bit length field,
+// so every checked fragment must count as a wire error.
+func TestTopologyScenarioCopiesChecks(t *testing.T) {
+	s, err := Load(strings.NewReader(`{
+  "topology": {
+    "rings": [6, 6],
+    "bridges": [{"ring_a": 0, "node_a": 2, "ring_b": 1, "node_b": 0}]
+  },
+  "horizon_slots": 200,
+  "slot_payload_bytes": 70000,
+  "data_check": true,
+  "trace_capacity": 100,
+  "connections": [{"src": 1, "dests": [4], "period_slots": 10, "slots": 1}],
+  "cross_connections": [
+    {"src_ring": 0, "src": 1, "dst_ring": 1, "dests": [3], "period_slots": 20, "slots": 1}
+  ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Multi.Run(res.Horizon)
+	for i := 0; i < 2; i++ {
+		rn := res.Multi.RingNetwork(i)
+		if errs := rn.Metrics().WireErrors.Value(); errs == 0 {
+			t.Errorf("ring %d: wire_errors = 0 with data_check on an oversized payload (%d grants)",
+				i, rn.Metrics().Grants.Value())
+		}
+		if rn.Trace() == nil {
+			t.Errorf("ring %d: trace_capacity set but no tracer attached", i)
+		}
+	}
+}
